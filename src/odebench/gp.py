@@ -14,6 +14,10 @@ With z = sqrt(2 nu) |s - t| / lengthscale and c = 2^(1-nu) / Gamma(nu):
 
 with the zero-lag limits k(0) = amp^2, k'(0) = 0 and the gradient variance
 -k''(0) = amp^2 nu / ((nu - 1) l^2).
+
+The Bessel terms K_nu and K_{nu-1} are evaluated once per distinct lag and
+scattered back to the n x n matrices: an ordered grid has O(n) distinct
+lags among its n^2 (57 of 441 at 21 points, 512 of 25,921 at 161).
 """
 
 from __future__ import annotations
@@ -73,9 +77,11 @@ class MaternHyper:
             raise ValueError(f"smoothness is fixed at {MATERN_NU}")
 
 
-def _matern_parts(hyper: MaternHyper, r: np.ndarray):
-    """Return (k, k', k'') of the distance r >= 0, elementwise.
+def _matern_lag_terms(hyper: MaternHyper, r: np.ndarray):
+    """Return (k, k', k'', dk/dlog lengthscale) of the lags r >= 0, elementwise.
 
+    Callers pass each distinct lag once (see _distinct_lags) and scatter the
+    results back, so each Bessel order is evaluated once per distinct lag.
     Zero (and numerically tiny) lags are filled with the analytic limits.
     """
     nu = hyper.nu
@@ -90,34 +96,34 @@ def _matern_parts(hyper: MaternHyper, r: np.ndarray):
     tiny = z < 1e-10
     zs = np.where(tiny, 1.0, z)  # placeholder to keep kv finite
 
-    znu_knu = zs ** nu * kv(nu, zs)
-    znu_knum1 = zs ** nu * kv(nu - 1.0, zs)
-    znum1_knum1 = zs ** (nu - 1.0) * kv(nu - 1.0, zs)
+    kv_nu = kv(nu, zs)
+    kv_num1 = kv(nu - 1.0, zs)
+    znu_knu = zs ** nu * kv_nu
+    znu_knum1 = zs ** nu * kv_num1
+    znum1_knum1 = zs ** (nu - 1.0) * kv_num1
 
     k0 = amp2 * c * znu_knu
     k1 = -amp2 * c * a * znu_knum1
     k2 = -amp2 * c * a * a * ((2.0 * nu - 1.0) * znum1_knum1 - znu_knu)
+    dlogell = amp2 * c * zs ** (nu + 1.0) * kv_num1
 
     k0 = np.where(tiny, amp2, k0)
     k1 = np.where(tiny, 0.0, k1)
     k2 = np.where(tiny, -amp2 * nu / ((nu - 1.0) * ell * ell), k2)
+    dlogell = np.where(tiny, 0.0, dlogell)
     if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))):
         raise FloatingPointError("non-finite Bessel evaluation in Matern kernel")
-    return k0, k1, k2
+    return k0, k1, k2, dlogell
 
 
-def _matern_dlogell(hyper: MaternHyper, r: np.ndarray) -> np.ndarray:
-    """d k(r) / d log(lengthscale), used by the marginal-likelihood fit."""
-    nu = hyper.nu
-    amp2 = hyper.amplitude ** 2
-    a = math.sqrt(2.0 * nu) / hyper.lengthscale
-    c = math.exp((1.0 - nu) * math.log(2.0) - gammaln(nu))
-    r = np.asarray(r, dtype=float)
-    z = a * r
-    tiny = z < 1e-10
-    zs = np.where(tiny, 1.0, z)
-    g = amp2 * c * zs ** (nu + 1.0) * kv(nu - 1.0, zs)
-    return np.where(tiny, 0.0, g)
+def _distinct_lags(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a lag matrix into its distinct lags and the index map back.
+
+    terms[inverse] rebuilds r's shape from a per-lag vector: an ordered grid
+    of n points has O(n) distinct lags among its n^2.
+    """
+    lags, inverse = np.unique(r, return_inverse=True)
+    return lags, inverse.reshape(r.shape)
 
 
 def matern_eval(hyper: MaternHyper, s: float, t: float, order: tuple[int, int] = (0, 0)) -> float:
@@ -126,7 +132,7 @@ def matern_eval(hyper: MaternHyper, s: float, t: float, order: tuple[int, int] =
     if a_ord not in (0, 1) or b_ord not in (0, 1):
         raise ValueError("derivative orders must be 0 or 1")
     u = float(s) - float(t)
-    k0, k1, k2 = _matern_parts(hyper, abs(u))
+    k0, k1, k2, _ = _matern_lag_terms(hyper, abs(u))
     sgn = np.sign(u)
     if order == (0, 0):
         return float(k0)
@@ -202,12 +208,14 @@ def build_kernel_mats(hyper: MaternHyper, grid: np.ndarray) -> GpKernelMats:
         raise ValueError("grid must be strictly increasing with length >= 2")
 
     u = grid[:, None] - grid[None, :]
-    k0, k1, k2 = _matern_parts(hyper, np.abs(u))
+    lags, inverse = _distinct_lags(np.abs(u))
+    k0, k1, k2, _ = _matern_lag_terms(hyper, lags)
+    k1 = k1[inverse]
     sgn = np.sign(u)
-    K = k0
+    K = k0[inverse]
     dK = k1 * sgn
     Kd = -k1 * sgn
-    ddK = -k2
+    ddK = -k2[inverse]
 
     chol_K, k_jitter = _chol_with_retries(K, K_JITTER_BASE * hyper.amplitude ** 2, "K")
     K = K + k_jitter * np.eye(grid.size)
@@ -320,13 +328,14 @@ def gp_smooth_fit(
     params = np.array([math.log(sd), math.log(min(max(span / 10.0, spacing), 10.0 * span)),
                        float(np.mean(y)), math.log(max(0.1 * sd, 1e-8))])
 
-    r = np.abs(t[:, None] - t[None, :])
+    lags, inverse = _distinct_lags(np.abs(t[:, None] - t[None, :]))
     eye = np.eye(n)
 
     def objective_and_grad(p):
         amp, ell, mu, nsd = math.exp(p[0]), math.exp(p[1]), p[2], math.exp(p[3])
         hyper = MaternHyper(amplitude=amp, lengthscale=ell, mean=mu)
-        K, _, _ = _matern_parts(hyper, r)
+        k0, _, _, dlogell = _matern_lag_terms(hyper, lags)
+        K = k0[inverse]
         Ky = K + (nsd * nsd) * eye
         try:
             chol = cho_factor(Ky, lower=True)
@@ -340,7 +349,7 @@ def gp_smooth_fit(
 
         Kyinv = cho_solve(chol, eye)
         dK_lamp = 2.0 * K
-        dK_lell = _matern_dlogell(hyper, r)
+        dK_lell = dlogell[inverse]
 
         def dnll(dmat):
             return 0.5 * float(np.sum(Kyinv * dmat)) - 0.5 * float(alpha @ (dmat @ alpha))

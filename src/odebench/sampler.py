@@ -433,15 +433,20 @@ def nuts_sample(
 
 
 def effective_sample_size(x: np.ndarray) -> float:
-    """ESS of one scalar chain via Geyer's initial monotone positive sequence."""
+    """ESS of one scalar chain via Geyer's initial monotone positive sequence.
+
+    A chain of at least 4 draws that never moved has ESS 0.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
         return float(n)
+    if np.ptp(x) == 0.0:
+        return 0.0
     x = x - x.mean()
     acov = np.correlate(x, x, mode="full")[n - 1:] / n
     if acov[0] <= 0:
-        return float(n)
+        return 0.0
     rho = acov / acov[0]
     pair_sums = []
     k = 1

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from odebench.gp import (
     MATERN_NU,
     GpFitError,
     MaternHyper,
+    _distinct_lags,
+    _matern_lag_terms,
     build_kernel_mats,
     dominant_half_period,
     gp_smooth_fit,
@@ -55,6 +58,38 @@ def test_matern_cross_derivative_vs_fd():
         - matern_eval(hyper, s - h, t + h) + matern_eval(hyper, s - h, t - h)
     ) / (4 * h * h)
     assert rel_err(matern_eval(hyper, s, t, (1, 1)), fd) < 1e-4
+
+
+def test_matern_dlogell_vs_fd():
+    # Zero lags on the diagonal and repeated lags from the equal spacing.
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.3, 2.0])
+    r = np.abs(grid[:, None] - grid[None, :])
+    lags, inverse = _distinct_lags(r)
+    assert lags[0] == 0.0 and lags.size < r.size
+    amp, ell = 1.3, 0.6
+    dlogell = _matern_lag_terms(MaternHyper(amp, ell), lags)[3][inverse]
+    h = 1e-5
+
+    def k_at(log_ell):
+        hyper = MaternHyper(amp, math.exp(log_ell))
+        return np.array([[matern_eval(hyper, s, t) for t in grid] for s in grid])
+
+    fd = (k_at(math.log(ell) + h) - k_at(math.log(ell) - h)) / (2 * h)
+    assert np.all(dlogell[r == 0.0] == 0.0)
+    assert rel_err(dlogell, fd) < 1e-4
+
+
+def test_distinct_lag_matrices_equal_elementwise_eval():
+    obs_times = np.array([0.03, 0.41, 0.77, 1.0, 1.52, 1.9])
+    times = np.union1d(magi.uniform_grid(0.0, 2.0, 17), obs_times)
+    grid = magi.DiscretizationGrid.build(times, obs_times).times
+    assert np.unique(np.abs(grid[:, None] - grid[None, :])).size < grid.size ** 2
+    hyper = MaternHyper(amplitude=1.4, lengthscale=0.35)
+    mats = build_kernel_mats(hyper, grid)
+    assert mats.k_jitter == 0.0
+    for name, order in (("K", (0, 0)), ("dK", (1, 0)), ("Kd", (0, 1)), ("ddK", (1, 1))):
+        ref = np.array([[matern_eval(hyper, s, t, order) for t in grid] for s in grid])
+        assert np.array_equal(getattr(mats, name), ref), name
 
 
 def test_matern_antisymmetry_of_first_derivatives():

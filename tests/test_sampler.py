@@ -186,6 +186,12 @@ def test_effective_sample_size_iid_vs_correlated():
     assert effective_sample_size(ar) < 300
 
 
+def test_effective_sample_size_of_frozen_chain_is_zero():
+    assert effective_sample_size(np.full(500, 2.0)) == 0.0
+    # The mean of seven 0.1s is off by one ulp, so the centred chain is not 0.
+    assert effective_sample_size(np.full(7, 0.1)) == 0.0
+
+
 def test_chain_result_properties():
     res = ChainResult(draws=np.zeros((10, 2)), step_size=0.1, divergence_count=2,
                       accept_stats=np.full(10, 0.9), energy_errors=np.zeros(10),
