@@ -29,6 +29,6 @@ from .magi import (
     run_inference,
 )
 from .pinn import MlpNet, PinnConfig, forward_with_time_derivative, pinn_loss, train_pinn
-from .sampler import ChainResult, NutsConfig, dual_average_update, nuts_sample
+from .sampler import ChainResult, NutsConfig, nuts_sample
 
 __version__ = "0.1.0"

@@ -1,9 +1,11 @@
-"""Numba-compiled hot path for the joint log-posterior and its gradient.
+"""Numba-compiled twin of the whitened log posterior and its gradient.
 
-The pure-numpy implementation in :mod:`odebench.magi` is the reference;
-this module reproduces it with explicit loops for the two built-in models
-so the sampler's inner loop stays cheap.  Problems over models without a
-compiled right-hand side fall back to the numpy path automatically.
+``magi.make_logdensity_whitened`` is the numpy reference; this module
+writes the same target with explicit loops for the two built-in models so
+the compiled sampler engine can call it.  ``magi.make_sampler_target`` uses
+it only when numba is installed and the model is built in; otherwise the
+sampler runs the numpy reference.  Without numba, ``njit`` is the identity,
+so the tests can still run these loops as plain Python.
 """
 
 from __future__ import annotations
@@ -90,137 +92,14 @@ def _rhs_jac(model_id, x, theta, fvals, jx, jt):
 
 
 @njit(cache=True)
-def magi_value_grad(flat, ctx):
-    """Joint log-posterior and gradient; ctx carries the problem arrays.
-
-    ctx = (model_id, mu, Kinv, Cinv, mmat, obs_rows, obs_vals, obs_offsets,
-           obs_comps, theta_lo, theta_hi, lsig_bounds)
-    """
-    model_id = ctx[0]
-    mu = ctx[1]
-    Kinv = ctx[2]
-    Cinv = ctx[3]
-    mmat = ctx[4]
-    obs_rows = ctx[5]
-    obs_vals = ctx[6]
-    obs_offsets = ctx[7]
-    obs_comps = ctx[8]
-    theta_lo = ctx[9]
-    theta_hi = ctx[10]
-    lsig_lo = ctx[11][0]
-    lsig_hi = ctx[11][1]
-
-    d = mu.size
-    m_sz = Kinv.shape[1]
-    p = theta_lo.size
-    grad = np.zeros(flat.size)
-    theta = flat[m_sz * d : m_sz * d + p]
-    log_sigma = flat[m_sz * d + p :]
-    n_obs_comp = obs_comps.size
-
-    for j in range(p):
-        if theta[j] < theta_lo[j] or theta[j] > theta_hi[j]:
-            return -np.inf, grad
-    for j in range(n_obs_comp):
-        if log_sigma[j] < lsig_lo or log_sigma[j] > lsig_hi:
-            return -np.inf, grad
-
-    x = np.empty((m_sz, d))
-    for i in range(m_sz):
-        for c in range(d):
-            x[i, c] = flat[i * d + c]
-
-    xc = np.empty((d, m_sz))
-    for c in range(d):
-        for i in range(m_sz):
-            xc[c, i] = x[i, c] - mu[c]
-
-    fvals = np.empty((m_sz, d))
-    jx = np.empty((m_sz, d, d))
-    jt = np.empty((m_sz, d, p))
-    _rhs_jac(model_id, x, theta, fvals, jx, jt)
-
-    gp_term = 0.0
-    mech_term = 0.0
-    a = np.empty((d, m_sz))
-    b = np.empty((d, m_sz))
-    resid = np.empty((d, m_sz))
-    for c in range(d):
-        ac = np.dot(Kinv[c], xc[c])
-        gdot = np.dot(mmat[c], xc[c])
-        for i in range(m_sz):
-            a[c, i] = ac[i]
-            resid[c, i] = fvals[i, c] - gdot[i]
-        gp_term += np.dot(xc[c], ac)
-        bc = np.dot(Cinv[c], resid[c])
-        for i in range(m_sz):
-            b[c, i] = bc[i]
-        mech_term += np.dot(resid[c], bc)
-
-    obs_term = 0.0
-    norm_term = 0.0
-    sse = np.zeros(n_obs_comp)
-    for j in range(n_obs_comp):
-        c = obs_comps[j]
-        sig2 = math.exp(2.0 * log_sigma[j])
-        acc = 0.0
-        for k in range(obs_offsets[j], obs_offsets[j + 1]):
-            diff = obs_vals[k] - x[obs_rows[k], c]
-            acc += diff * diff
-        sse[j] = acc
-        obs_term += acc / sig2
-        norm_term += (obs_offsets[j + 1] - obs_offsets[j]) * log_sigma[j]
-
-    value = -0.5 * (gp_term + obs_term + mech_term) - norm_term
-    if not np.isfinite(value):
-        return -np.inf, grad
-
-    # d/dx: GP prior pull, rhs-Jacobian coupling at each grid point, and the
-    # gradient-predictor coupling across grid points per component.
-    for c in range(d):
-        mtb = np.dot(b[c], mmat[c])  # m^T b, exploiting row-major mmat
-        for i in range(m_sz):
-            acc = -a[c, i] + mtb[i]
-            for e in range(d):
-                acc -= b[e, i] * jx[i, e, c]
-            grad[i * d + c] = acc
-
-    for j in range(n_obs_comp):
-        c = obs_comps[j]
-        sig2 = math.exp(2.0 * log_sigma[j])
-        for k in range(obs_offsets[j], obs_offsets[j + 1]):
-            row = obs_rows[k]
-            grad[row * d + c] += (obs_vals[k] - x[row, c]) / sig2
-
-    for q in range(p):
-        acc = 0.0
-        for c in range(d):
-            for i in range(m_sz):
-                acc -= b[c, i] * jt[i, c, q]
-        grad[m_sz * d + q] = acc
-
-    for j in range(n_obs_comp):
-        sig2 = math.exp(2.0 * log_sigma[j])
-        n_c = obs_offsets[j + 1] - obs_offsets[j]
-        grad[m_sz * d + p + j] = sse[j] / sig2 - n_c
-
-    for i in range(flat.size):
-        if not np.isfinite(grad[i]):
-            for k in range(flat.size):
-                grad[k] = 0.0
-            return -np.inf, grad
-    return value, grad
-
-
-@njit(cache=True)
 def magi_value_grad_whitened(flat, ctx):
     """Log-posterior over GP-whitened trajectory coordinates.
 
     The trajectory block of ``flat`` holds q with x = mu + L q per
     component (L the Cholesky factor of that component's kernel matrix),
     which turns the GP prior into an isotropic Gaussian so the sampler's
-    unit mass matrix is well scaled.  Exact reparameterization of
-    magi_value_grad up to an additive constant.
+    unit mass matrix is well scaled.  Mirrors
+    ``magi.make_logdensity_whitened`` term by term.
 
     ctx = (model_id, mu, L, Cinv, mmat, obs_rows, obs_vals, obs_offsets,
            obs_comps, theta_lo, theta_hi, lsig_bounds)

@@ -175,10 +175,6 @@ class GpKernelMats:
     def quad_form_Cinv(self, v: np.ndarray) -> float:
         return float(v @ cho_solve(self.chol_C, v))
 
-    def Kinv(self) -> np.ndarray:
-        eye = np.eye(self.grid.size)
-        return cho_solve(self.chol_K, eye)
-
     def Cinv(self) -> np.ndarray:
         eye = np.eye(self.grid.size)
         return cho_solve(self.chol_C, eye)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
+from scipy.linalg import solve_triangular
 
 from . import _fast
 from .dynamics import OdeModel
@@ -30,7 +31,7 @@ from .gp import GpFit, GpKernelMats, build_kernel_mats, gp_smooth_fit
 from .integrate import IntegrationError, integrate_rk45
 from .observations import ObservationSet
 from .optim import Adam
-from .sampler import ChainResult, NutsConfig, nuts_sample
+from .sampler import NutsConfig, nuts_sample
 
 __all__ = [
     "DiscretizationGrid",
@@ -42,7 +43,6 @@ __all__ = [
     "make_problem",
     "log_posterior",
     "log_posterior_grad",
-    "make_logdensity",
     "init_missing_components",
     "run_inference",
     "fit_magi",
@@ -134,7 +134,6 @@ class MagiProblem:
         m_sz = grid.size
         d = model.state_dim
         self.mu = np.array([km.hyper.mean for km in kernels])
-        self.Kinv = np.stack([km.Kinv() for km in kernels])  # (D, M, M)
         self.Cinv = np.stack([km.Cinv() for km in kernels])
         self.mmat = np.stack([km.m for km in kernels])
         self.mmat_T = np.ascontiguousarray(self.mmat.transpose(0, 2, 1))
@@ -182,8 +181,6 @@ class MagiProblem:
 
     def whiten(self, state: MagiState) -> np.ndarray:
         """Pack a state with the trajectory block in whitened coordinates."""
-        from scipy.linalg import solve_triangular
-
         q = np.empty_like(state.x)
         for c in range(self.model.state_dim):
             q[:, c] = solve_triangular(self.Lmat[c], state.x[:, c] - self.mu[c], lower=True)
@@ -233,23 +230,6 @@ def make_problem(
 # ---------------------------------------------------------------------------
 
 
-def _compiled_ctx(problem: MagiProblem) -> tuple:
-    return (
-        _fast.MODEL_IDS[problem.model.name],
-        problem.mu,
-        problem.Kinv,
-        problem.Cinv,
-        problem.mmat,
-        problem.obs_rows_flat,
-        problem.obs_vals_flat,
-        problem.obs_offsets,
-        problem.obs_comps,
-        problem.theta_lo,
-        problem.theta_hi,
-        np.array([LOG_SIGMA_LO, LOG_SIGMA_HI]),
-    )
-
-
 def _compiled_ctx_whitened(problem: MagiProblem) -> tuple:
     return (
         _fast.MODEL_IDS[problem.model.name],
@@ -284,7 +264,13 @@ def make_sampler_target(problem: MagiProblem):
 
 
 def make_logdensity_whitened(problem: MagiProblem):
-    """Numpy reference for the whitened target (used for non-builtin models)."""
+    """Numpy reference for the whitened log posterior and its gradient.
+
+    The trajectory block of the packed argument holds q with x = mu + L q per
+    component.  The sampler runs it for every model when numba is absent,
+    and otherwise for models without a compiled right-hand side;
+    ``_fast.magi_value_grad_whitened`` is its compiled twin.
+    """
     model = problem.model
     m_sz, d, p = problem.grid.size, model.state_dim, model.param_dim
     times = problem.grid.times
@@ -350,102 +336,27 @@ def make_logdensity_whitened(problem: MagiProblem):
     return logdensity_and_grad
 
 
-def make_logdensity(problem: MagiProblem, force_numpy: bool = False):
-    """Build a (log density, gradient) callable over the packed state.
-
-    Built-in models get a compiled kernel; anything else (or
-    ``force_numpy``) uses the vectorized numpy reference implementation.
-    The two agree to floating-point round-off (asserted in the test suite).
-    """
-    if not force_numpy and _fast.NUMBA_OK and problem.model.name in _fast.MODEL_IDS:
-        ctx = _compiled_ctx(problem)
-
-        def fast_logdensity(flat: np.ndarray) -> tuple[float, np.ndarray]:
-            return _fast.magi_value_grad(flat, ctx)
-
-        return fast_logdensity
-    model = problem.model
-    m_sz = problem.grid.size
-    d = model.state_dim
-    p = model.param_dim
-    times = problem.grid.times
-    mu = problem.mu
-    Kinv, Cinv = problem.Kinv, problem.Cinv
-    mmat, mmat_T = problem.mmat, problem.mmat_T
-    observed = problem.observed
-    obs_rows, obs_vals, obs_counts = problem.obs_rows, problem.obs_vals, problem.obs_counts
-    theta_lo, theta_hi = problem.theta_lo, problem.theta_hi
-
-    def logdensity_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        x = flat[: m_sz * d].reshape(m_sz, d)
-        theta = flat[m_sz * d : m_sz * d + p]
-        log_sigma = flat[m_sz * d + p :]
-
-        if (
-            np.any(theta < theta_lo)
-            or np.any(theta > theta_hi)
-            or np.any(log_sigma < LOG_SIGMA_LO)
-            or np.any(log_sigma > LOG_SIGMA_HI)
-        ):
-            return -np.inf, np.zeros_like(flat)
-
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            xc = (x - mu).T  # (D, M) centered
-            a = np.matmul(Kinv, xc[:, :, None])[:, :, 0]  # K^{-1} (x - mu)
-            gp_term = float(np.sum(xc * a))
-
-            fvals = model.rhs(x, theta, times)  # (M, D)
-            gdot = np.matmul(mmat, xc[:, :, None])[:, :, 0]  # conditional mean derivative
-            resid = fvals.T - gdot  # (D, M)
-            b = np.matmul(Cinv, resid[:, :, None])[:, :, 0]
-            mech_term = float(np.sum(resid * b))
-
-            obs_term = 0.0
-            norm_term = 0.0
-            sig2 = np.exp(2.0 * log_sigma)
-            sse = np.empty(len(observed))
-            for j, c in enumerate(observed):
-                diff = obs_vals[j] - x[obs_rows[j], c]
-                sse[j] = float(diff @ diff)
-                obs_term += sse[j] / sig2[j]
-                norm_term += obs_counts[j] * log_sigma[j]
-
-            value = -0.5 * (gp_term + obs_term + mech_term) - norm_term
-            if not np.isfinite(value):
-                return -np.inf, np.zeros_like(flat)
-
-            jac_x = model.jac_state(x, theta, times)  # (M, D, D)
-            jac_t = model.jac_param(x, theta, times)  # (M, D, P)
-
-            grad_x = -a.T  # GP prior part, (M, D)
-            # Mechanistic part: rhs Jacobian couples components at each grid
-            # point; the gradient-predictor couples grid points per component.
-            grad_x -= np.einsum("cm,mcd->md", b, jac_x)
-            grad_x += np.matmul(mmat_T, b[:, :, None])[:, :, 0].T
-            for j, c in enumerate(observed):
-                rows = obs_rows[j]
-                grad_x[rows, c] += (obs_vals[j] - x[rows, c]) / sig2[j]
-
-            grad_theta = -np.einsum("cm,mcp->p", b, jac_t)
-            grad_sigma = sse / sig2 - np.asarray(obs_counts, dtype=float)
-
-            grad = np.concatenate([grad_x.ravel(), grad_theta, grad_sigma])
-            if not np.all(np.isfinite(grad)):
-                return -np.inf, np.zeros_like(flat)
-            return value, grad
-
-    return logdensity_and_grad
-
-
 def log_posterior(problem: MagiProblem, state: MagiState) -> float:
-    """Joint log posterior up to an additive constant; -inf when non-finite."""
-    value, _ = make_logdensity(problem)(problem.pack(state))
+    """Joint log posterior up to an additive constant; -inf when non-finite.
+
+    Evaluated on the whitened target at q = whiten(state): the GP prior term
+    (x - mu)^T K^{-1} (x - mu) equals q^T q, so the value is the same.
+    """
+    value, _ = make_logdensity_whitened(problem)(problem.whiten(state))
     return value
 
 
 def log_posterior_grad(problem: MagiProblem, state: MagiState) -> np.ndarray:
-    """Analytic gradient over (x, theta, log_sigma), packed like the state."""
-    _, grad = make_logdensity(problem)(problem.pack(state))
+    """Analytic gradient over (x, theta, log_sigma), packed like the state.
+
+    The whitened target's trajectory block is pulled back to x by L^{-T} per
+    component; the theta and log-sigma blocks are the same in both.
+    """
+    m_sz, d = problem.grid.size, problem.model.state_dim
+    _, grad = make_logdensity_whitened(problem)(problem.whiten(state))
+    g_traj = grad[: m_sz * d].reshape(m_sz, d)  # a view: pulled back in place
+    for c in range(d):
+        g_traj[:, c] = solve_triangular(problem.Lmat[c], g_traj[:, c], lower=True, trans="T")
     return grad
 
 
@@ -738,12 +649,6 @@ def _summarize(draws, grid_times, component_names, param_names, sigma_components
 DIVERGENCE_WARN_RATE = 0.25
 
 
-def replace_draws(chain: ChainResult, draws: np.ndarray) -> ChainResult:
-    from dataclasses import replace as _dc_replace
-
-    return _dc_replace(chain, draws=draws)
-
-
 def _initial_log_sigma(problem: MagiProblem) -> np.ndarray:
     vals = []
     for c in problem.observed:
@@ -761,18 +666,21 @@ def run_inference(
     config_hash: str = "",
 ) -> PosteriorSamples:
     """NUTS over the full joint state; returns draws plus posterior summaries."""
-    log_sigma = _initial_log_sigma(problem)
     state = MagiState(x=np.asarray(init.x, dtype=float), theta=np.asarray(init.theta, dtype=float),
-                      log_sigma=log_sigma)
-    value, _ = make_logdensity(problem)(problem.pack(state))
-    if not np.isfinite(value):
-        raise ValueError("log posterior is not finite at the initial state")
+                      log_sigma=_initial_log_sigma(problem))
+    flags = init.flag.split() if init.flag else []
+    return _sample_posterior(problem, state, flags, seed, n_warmup, n_samples, config_hash)
 
+
+def _sample_posterior(problem: MagiProblem, state: MagiState, flags: list[str], seed: int,
+                      n_warmup: int, n_samples: int, config_hash: str) -> PosteriorSamples:
+    """NUTS from a ready state, then unwhiten, flag and summarize the draws.
+
+    ``nuts_sample`` is looked up as this module's global at call time, so a
+    caller that rebinds ``magi.nuts_sample`` sees every chain.
+    """
     config = NutsConfig(n_warmup=n_warmup, n_samples=n_samples, seed=seed)
-    chain: ChainResult = nuts_sample(make_sampler_target(problem), problem.whiten(state), config)
-    chain = replace_draws(chain, problem.unwhiten_draws(chain.draws))
-
-    flags = list(init.flag.split() if init.flag else [])
+    chain = nuts_sample(make_sampler_target(problem), problem.whiten(state), config)
     if chain.divergence_rate > DIVERGENCE_WARN_RATE:
         flags.append(f"high-divergence-rate:{chain.divergence_rate:.2f}")
         warnings.warn(
@@ -780,7 +688,7 @@ def run_inference(
             f"{DIVERGENCE_WARN_RATE:.0%}; treat this run with suspicion")
 
     post = _summarize(
-        chain.draws,
+        problem.unwhiten_draws(chain.draws),
         problem.grid.times,
         problem.model.component_names,
         problem.model.param_names,
@@ -951,26 +859,9 @@ def forecast_sequential(
 
         grid_new = DiscretizationGrid.build(times_new, observations.times)
         problem = make_problem(model, grid_new, observations, fits)
-        init = InitResult(x=x_init, theta=last.theta.copy(), flag=flag)
-
-        log_sigma = last.log_sigma.copy()
-        state = MagiState(x=x_init, theta=init.theta, log_sigma=log_sigma)
-        value, _ = make_logdensity(problem)(problem.pack(state))
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite posterior at warm start of stage {step}")
-        config = NutsConfig(n_warmup=n_warmup, n_samples=n_samples, seed=stage_seeds[step])
-        chain = nuts_sample(make_sampler_target(problem), problem.whiten(state), config)
-        chain = replace_draws(chain, problem.unwhiten_draws(chain.draws))
-        flags = [flag] if flag else []
-        if chain.divergence_rate > DIVERGENCE_WARN_RATE:
-            flags.append(f"high-divergence-rate:{chain.divergence_rate:.2f}")
-        samples = _summarize(
-            chain.draws, times_new, model.component_names, model.param_names,
-            tuple(model.component_names[c] for c in problem.observed),
-            seed=stage_seeds[step], config_hash=config_hash, flags=tuple(flags),
-            step_size=chain.step_size, divergence_count=chain.divergence_count,
-        )
-        samples.x_deriv_mean = gp_gradient_estimate(problem, samples.x_mean)
+        state = MagiState(x=x_init, theta=last.theta.copy(), log_sigma=last.log_sigma.copy())
+        samples = _sample_posterior(problem, state, [flag] if flag else [], stage_seeds[step],
+                                    n_warmup, n_samples, config_hash)
         stages.append(SequentialStage(grid_size=new_len, samples=samples))
 
     return samples, stages

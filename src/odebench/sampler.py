@@ -17,7 +17,7 @@ used automatically when the log-density is itself a compiled dispatcher
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,9 +40,7 @@ __all__ = [
     "NutsConfig",
     "ChainResult",
     "CompiledTarget",
-    "DualAveragingState",
     "nuts_sample",
-    "dual_average_update",
     "find_initial_step_size",
     "effective_sample_size",
 ]
@@ -86,40 +84,6 @@ class ChainResult:
         return self.divergence_count / max(1, self.draws.shape[0])
 
 
-@dataclass(frozen=True)
-class DualAveragingState:
-    """Nesterov dual-averaging recursion for log step size."""
-
-    mu: float
-    log_eps: float
-    log_eps_bar: float = 0.0
-    h_bar: float = 0.0
-    count: int = 0
-    gamma: float = 0.05
-    t0: float = 10.0
-    kappa: float = 0.75
-    target: float = 0.8
-
-    @property
-    def step_size(self) -> float:
-        return math.exp(self.log_eps)
-
-    @property
-    def averaged_step_size(self) -> float:
-        return math.exp(self.log_eps_bar)
-
-
-def dual_average_update(state: DualAveragingState, accept_stat: float) -> DualAveragingState:
-    """One warmup update toward the target acceptance statistic."""
-    count = state.count + 1
-    eta_h = 1.0 / (count + state.t0)
-    h_bar = (1.0 - eta_h) * state.h_bar + eta_h * (state.target - accept_stat)
-    log_eps = state.mu - math.sqrt(count) / state.gamma * h_bar
-    eta = count ** -state.kappa
-    log_eps_bar = eta * log_eps + (1.0 - eta) * state.log_eps_bar
-    return replace(state, log_eps=log_eps, log_eps_bar=log_eps_bar, h_bar=h_bar, count=count)
-
-
 # ---------------------------------------------------------------------------
 # Engine template.  _ENGINE_SOURCE is compiled twice: once as plain Python
 # (any callable target) and once under numba (compiled targets).  Writing
@@ -127,6 +91,22 @@ def dual_average_update(state: DualAveragingState, accept_stat: float) -> DualAv
 # ---------------------------------------------------------------------------
 
 _ENGINE_SOURCE = r'''
+def _dual_average(count, mu, target, accept_stat, h_bar, log_eps_bar):
+    # Nesterov dual averaging of the log step size toward the target
+    # acceptance statistic (Hoffman & Gelman 2014, JMLR 15:1593, alg. 6);
+    # count is the 1-based warmup transition.  Returns the new
+    # (log_eps, log_eps_bar, h_bar).
+    gamma = 0.05
+    t0 = 10.0
+    kappa = 0.75
+    eta_h = 1.0 / (count + t0)
+    h_bar = (1.0 - eta_h) * h_bar + eta_h * (target - accept_stat)
+    log_eps = mu - math.sqrt(count) / gamma * h_bar
+    eta = count ** (-kappa)
+    log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+    return log_eps, log_eps_bar, h_bar
+
+
 def _leapfrog(f, ctx, q, r, grad, eps):
     r_half = r + (0.5 * eps) * grad
     q_new = q + eps * r_half
@@ -305,9 +285,6 @@ def _chain(f, ctx, q0, n_warmup, n_samples, target_accept, max_depth, rng,
     log_eps = math.log(eps)
     log_eps_bar = 0.0
     h_bar = 0.0
-    gamma = 0.05
-    t0 = 10.0
-    kappa = 0.75
 
     slot_q = np.empty((max_depth + 1, q.size))
     slot_r = np.empty((max_depth + 1, q.size))
@@ -322,12 +299,8 @@ def _chain(f, ctx, q0, n_warmup, n_samples, target_accept, max_depth, rng,
             f, ctx, q, logp, grad, step, max_depth, rng, slot_q, slot_r)
         n_leapfrog_total += n_lf
         if m < n_warmup:
-            count = m + 1
-            eta_h = 1.0 / (count + t0)
-            h_bar = (1.0 - eta_h) * h_bar + eta_h * (target_accept - accept_stat)
-            log_eps = da_mu - math.sqrt(count) / gamma * h_bar
-            eta = count ** (-kappa)
-            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+            log_eps, log_eps_bar, h_bar = _dual_average(
+                m + 1, da_mu, target_accept, accept_stat, h_bar, log_eps_bar)
         else:
             i = m - n_warmup
             draws[i] = q
@@ -343,7 +316,7 @@ _py_ns: dict = {"math": math, "np": np}
 exec(compile(_ENGINE_SOURCE, "<sampler-python-engine>", "exec"), _py_ns)
 _chain_python = _py_ns["_chain"]
 _find_step_python = _py_ns["_find_step_size"]
-_leapfrog_python = _py_ns["_leapfrog"]
+_dual_average = _py_ns["_dual_average"]
 
 if NUMBA_OK:
     # Compiled twin: the same source, with the helpers rebound to their
@@ -352,6 +325,7 @@ if NUMBA_OK:
     # compilation happens once per process.
     _nb_ns: dict = {"math": math, "np": np}
     exec(compile(_ENGINE_SOURCE, "<sampler-numba-engine>", "exec"), _nb_ns)
+    _nb_ns["_dual_average"] = njit(cache=False)(_nb_ns["_dual_average"])
     _nb_ns["_leapfrog"] = njit(cache=False)(_nb_ns["_leapfrog"])
     _nb_ns["_find_step_size"] = njit(cache=False)(_nb_ns["_find_step_size"])
     _nb_ns["_transition"] = njit(cache=False)(_nb_ns["_transition"])

@@ -121,18 +121,27 @@ def _small_seir_problem():
 
 
 def _check_posterior_gradient() -> tuple[bool, str]:
+    """The sampler's target in whitened q, and log_posterior_grad in x."""
     problem, truth = _small_seir_problem()
-    f = magi.make_logdensity(problem)
     rng = np.random.default_rng(7)
-    flat = problem.pack(magi.MagiState(
+    state = magi.MagiState(
         x=truth.values + 0.05 * rng.standard_normal(truth.values.shape),
         theta=np.array([1.8, 0.25, 0.5]),
         log_sigma=np.array([-2.0, -2.1, -1.9]),
-    ))
-    _, grad = f(flat)
-    fd = central_difference_gradient(lambda v: f(v)[0], flat)
-    err = relative_agreement(grad, fd, floor=1e-6)
-    return err < 1e-5, f"max rel err {err:.2e}"
+    )
+    target = magi.make_sampler_target(problem)
+    q = problem.whiten(state)
+    _, grad_q = target.func(q, target.ctx)
+    fd_q = central_difference_gradient(lambda v: target.func(v, target.ctx)[0], q)
+    err_q = relative_agreement(grad_q, fd_q, floor=1e-6)
+
+    flat = problem.pack(state)
+    grad_x = magi.log_posterior_grad(problem, state)
+    fd_x = central_difference_gradient(
+        lambda v: magi.log_posterior(problem, problem.unpack(v)), flat)
+    err_x = relative_agreement(grad_x, fd_x, floor=1e-6)
+    ok = err_q < 1e-5 and err_x < 1e-5
+    return ok, f"max rel err {err_q:.2e} (sampler target), {err_x:.2e} (x)"
 
 
 def _check_pinn_gradient() -> tuple[bool, str]:

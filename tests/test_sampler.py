@@ -7,9 +7,8 @@ from scipy import stats
 from odebench.sampler import (
     ChainResult,
     CompiledTarget,
-    DualAveragingState,
     NutsConfig,
-    dual_average_update,
+    _dual_average,
     effective_sample_size,
     find_initial_step_size,
     nuts_sample,
@@ -91,29 +90,30 @@ def test_compiled_engine_matches_python_engine():
     assert res_py.divergence_count == res_nb.divergence_count
 
 
+def _dual_average_step_sizes(accept_stat, n):
+    """(step sizes, averaged step sizes) of n warmup updates of the engine's
+    recursion from mu = log 10 at target 0.8."""
+    h_bar = log_eps_bar = 0.0
+    sizes, averaged = [], []
+    for count in range(1, n + 1):
+        log_eps, log_eps_bar, h_bar = _dual_average(
+            count, math.log(10.0), 0.8, accept_stat, h_bar, log_eps_bar)
+        sizes.append(math.exp(log_eps))
+        averaged.append(math.exp(log_eps_bar))
+    return sizes, averaged
+
+
 def test_dual_averaging_fixed_point_at_target():
-    state = DualAveragingState(mu=math.log(10.0), log_eps=0.0, target=0.8)
-    sizes = []
-    for _ in range(300):
-        state = dual_average_update(state, 0.8)
-        sizes.append(state.step_size)
+    sizes, averaged = _dual_average_step_sizes(0.8, 300)
     tail = np.array(sizes[-100:])
     assert np.max(np.abs(np.diff(tail))) / tail[-1] < 1e-3
+    assert abs(averaged[-1] / 10.0 - 1.0) < 1e-3
 
 
 def test_dual_averaging_monotone_directions():
-    state = DualAveragingState(mu=math.log(10.0), log_eps=0.0, target=0.8)
-    down = []
-    for _ in range(50):
-        state = dual_average_update(state, 0.0)
-        down.append(state.step_size)
+    down, _ = _dual_average_step_sizes(0.0, 50)
     assert all(b < a for a, b in zip(down, down[1:]))
-
-    state = DualAveragingState(mu=math.log(10.0), log_eps=0.0, target=0.8)
-    up = []
-    for _ in range(50):
-        state = dual_average_update(state, 1.0)
-        up.append(state.step_size)
+    up, _ = _dual_average_step_sizes(1.0, 50)
     assert all(b > a for a, b in zip(up, up[1:]))
 
 
