@@ -16,10 +16,12 @@ import numpy as np
 
 try:
     from numba import njit
+    from numba.core.dispatcher import Dispatcher as NumbaDispatcher
 
     NUMBA_OK = True
 except ImportError:  # pragma: no cover - numba is a soft dependency
     NUMBA_OK = False
+    NumbaDispatcher = ()  # matches nothing in isinstance
 
     def njit(*args, **kwargs):
         def wrap(fn):

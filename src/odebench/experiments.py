@@ -16,6 +16,7 @@ import time as _time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,26 +232,13 @@ def _truth_key(regime: RegimeSpec) -> tuple:
             regime.t_obs_end, regime.t_end, regime.n_grid_insample, regime.n_grid_total)
 
 
-def ground_truth(regime: RegimeSpec, cache_dir: str | None = None) -> Trajectory:
+def ground_truth(regime: RegimeSpec) -> Trajectory:
     """Integrated truth on the regime's master grid, cached per regime."""
     key = _truth_key(regime)
-    if key in _TRUTH_CACHE:
-        return _TRUTH_CACHE[key]
-    path = None
-    model = regime.model()
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"truth_{regime.name}.csv")
-        if os.path.exists(path):
-            traj = Trajectory.from_csv(path, model_name=model.name)
-            _TRUTH_CACHE[key] = traj
-            return traj
-    traj = integrate_rk45(model, np.array(regime.x0), np.array(regime.theta_true),
-                          regime.master_times())
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        traj.to_csv(path, component_names=model.component_names)
-    _TRUTH_CACHE[key] = traj
-    return traj
+    if key not in _TRUTH_CACHE:
+        _TRUTH_CACHE[key] = integrate_rk45(regime.model(), np.array(regime.x0),
+                                           np.array(regime.theta_true), regime.master_times())
+    return _TRUTH_CACHE[key]
 
 
 def simulate_dataset(regime: RegimeSpec, replicate_seed: int) -> ObservationSet:
@@ -404,6 +392,30 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+class RunIdentity(NamedTuple):
+    lam: float | None  # the PINN weight; None for MAGI
+    lam_text: str  # the ``lambda`` column of results.csv
+    tag: str  # method plus lambda: seeds the method, names the artifacts
+    key: str  # the manifest key of the run
+    config_hash: str  # the configuration a resumed study must match
+
+
+def _run_identity(regime: RegimeSpec, method: str, options: dict, replicate: int,
+                  base_seed: int, forecast: bool) -> RunIdentity:
+    """Everything that names one (regime, method, options, replicate) run."""
+    options = dict(options or {})
+    lam = float(options.get("lam", 10.0)) if method == "pinn" else None
+    lam_text = "" if lam is None else f"{lam:g}"
+    chash = config_hash({
+        "regime": regime.name, "method": method, "options": options,
+        "replicate": replicate, "base_seed": base_seed, "forecast": forecast,
+    })
+    return RunIdentity(lam=lam, lam_text=lam_text,
+                       tag=method if lam is None else f"{method}:lam={lam:g}",
+                       key=f"{regime.name}|{method}|{lam_text}|{replicate}",
+                       config_hash=chash)
+
+
 def run_single(
     regime: RegimeSpec,
     method: str,
@@ -421,47 +433,32 @@ def run_single(
     """
     model = regime.model()
     options = dict(options or {})
-    lam = float(options.get("lam", 10.0)) if method == "pinn" else None
+    run_id = _run_identity(regime, method, options, replicate, base_seed, forecast)
     data_seed = dataset_seed(base_seed, regime, replicate)
-    tag = f"{method}" if lam is None else f"{method}:lam={lam:g}"
-    seed = _method_seed(base_seed, regime, replicate, tag)
+    seed = _method_seed(base_seed, regime, replicate, run_id.tag)
     dataset = simulate_dataset(regime, data_seed)
     truth = ground_truth(regime)
-
-    chash = config_hash({
-        "regime": regime.name, "method": method, "options": options,
-        "replicate": replicate, "base_seed": base_seed, "forecast": forecast,
-    })
 
     started = _time.perf_counter()
     flags: list[str] = []
     insample_times = regime.insample_times()
 
     if method == "magi":
-        n_warmup = int(options.get("n_warmup", 3000))
-        n_samples = int(options.get("n_samples", 3000))
-        init_budget = int(options.get("init_budget", 3000))
-        if forecast and regime.forecast_protocol == "extended":
-            post = forecast_extended_grid(
-                model, regime.master_times(), regime.n_grid_insample, dataset,
-                use_fourier_prior=regime.fourier_prior, n_warmup=n_warmup,
-                n_samples=n_samples, seed=seed, init_budget=init_budget,
-                config_hash=chash)
-        elif forecast and regime.forecast_protocol == "sequential":
-            post, _stages = forecast_sequential(
-                model, regime.master_times(), regime.n_grid_insample,
-                regime.points_per_step, dataset,
-                use_fourier_prior=regime.fourier_prior, n_warmup=n_warmup,
-                n_samples=n_samples, seed=seed, init_budget=init_budget,
-                config_hash=chash)
-        elif forecast:
-            raise ValueError(f"regime {regime.name} defines no forecast protocol")
+        sampling = dict(use_fourier_prior=regime.fourier_prior,
+                        n_warmup=int(options.get("n_warmup", 3000)),
+                        n_samples=int(options.get("n_samples", 3000)), seed=seed,
+                        init_budget=int(options.get("init_budget", 3000)))
+        if not forecast:
+            post = fit_magi(model, insample_times, dataset, **sampling)
+        elif regime.forecast_protocol == "extended":
+            post = forecast_extended_grid(model, regime.master_times(), regime.n_grid_insample,
+                                          dataset, **sampling)
+        elif regime.forecast_protocol == "sequential":
+            post = forecast_sequential(model, regime.master_times(), regime.n_grid_insample,
+                                       regime.points_per_step, dataset, **sampling)
         else:
-            post = fit_magi(
-                model, insample_times, dataset,
-                use_fourier_prior=regime.fourier_prior, n_warmup=n_warmup,
-                n_samples=n_samples, seed=seed, init_budget=init_budget,
-                config_hash=chash)
+            raise ValueError(f"regime {regime.name} defines no forecast protocol")
+        post.config_hash = run_id.config_hash
         flags.extend(post.flags)
         est = Trajectory(times=post.grid_times, values=post.x_mean, model_name=model.name)
         theta_hat = post.theta_mean
@@ -470,13 +467,13 @@ def run_single(
         x_in = post.x_mean[:n_in]
         theta_ci = post.theta_ci
         if out_dir is not None:
-            prefix = os.path.join(out_dir, f"posterior_{regime.name}_{tag.replace(':', '_')}_rep{replicate}")
+            prefix = os.path.join(out_dir, f"posterior_{regime.name}_{run_id.tag.replace(':', '_')}_rep{replicate}")
             post.save(prefix)
     elif method == "pinn":
         grid_times = regime.master_times() if forecast else insample_times
         grid = DiscretizationGrid.build(grid_times, dataset.times)
         cfg = PinnConfig(
-            lam=lam,
+            lam=run_id.lam,
             epochs=int(options.get("epochs", 60000)),
             learning_rate=float(options.get("learning_rate", 0.01)),
             n_hidden=int(options.get("n_hidden", 3)),
@@ -493,7 +490,7 @@ def run_single(
         x_in, deriv_in = n_vals[:n_in], v_vals[:n_in]
         theta_ci = None
         if out_dir is not None:
-            prefix = os.path.join(out_dir, f"network_{regime.name}_{tag.replace(':', '_')}_rep{replicate}")
+            prefix = os.path.join(out_dir, f"network_{regime.name}_{run_id.tag.replace(':', '_')}_rep{replicate}")
             trained.net.to_json(prefix + ".json")
             trained.history_to_csv(prefix + "_loss.csv")
     else:
@@ -502,10 +499,9 @@ def run_single(
     wall = _time.perf_counter() - started
     flag_text = ";".join(flags)
     rows: list[tuple] = []
-    lam_text = "" if lam is None else f"{lam:g}"
 
     def add(name: str, metric: str, value: float):
-        rows.append((regime.name, method, lam_text, replicate, seed,
+        rows.append((regime.name, method, run_id.lam_text, replicate, seed,
                      name, metric, _fmt(float(value)), flag_text))
 
     rmse_in = compute_rmse(est, truth, regime.obs_times())
@@ -542,9 +538,9 @@ def run_single(
                 abs(qoi.peak_intensity - pv_true))
 
     manifest = {
-        "regime": regime.name, "method": method, "lambda": lam,
+        "regime": regime.name, "method": method, "lambda": run_id.lam,
         "replicate": replicate, "seed": seed, "data_seed": data_seed,
-        "config_hash": chash, "wall_time_s": wall, "flags": flags,
+        "config_hash": run_id.config_hash, "wall_time_s": wall, "flags": flags,
     }
     return rows, manifest
 
@@ -554,10 +550,10 @@ def _safe_run(args) -> tuple[list[tuple], dict]:
     try:
         return run_single(*args)
     except Exception as exc:
-        regime, method = args[0], args[1]
-        lam = float(args[2].get("lam", 10.0)) if method == "pinn" else None
-        lam_text = "" if lam is None else f"{lam:g}"
-        rows = [(regime.name, method, lam_text, args[3], -1, "", "error",
+        regime, method, options, replicate, base_seed, forecast = args[:6]
+        lam_text = _run_identity(regime, method, options, replicate, base_seed,
+                                 forecast).lam_text
+        rows = [(regime.name, method, lam_text, replicate, -1, "", "error",
                  "nan", f"error:{type(exc).__name__}")]
         return rows, {"config_hash": "", "error": f"{type(exc).__name__}: {exc}"}
 
@@ -603,17 +599,12 @@ def run_study(
     skipped = 0
     for replicate in range(first_replicate, first_replicate + replicates):
         for method, options in methods:
-            lam = float(options.get("lam", 10.0)) if method == "pinn" else None
-            key = f"{regime.name}|{method}|{'' if lam is None else f'{lam:g}'}|{replicate}"
-            chash = config_hash({
-                "regime": regime.name, "method": method, "options": dict(options or {}),
-                "replicate": replicate, "base_seed": base_seed, "forecast": forecast,
-            })
-            if key in manifest and manifest[key].get("config_hash") == chash:
+            run_id = _run_identity(regime, method, options, replicate, base_seed, forecast)
+            if manifest.get(run_id.key, {}).get("config_hash") == run_id.config_hash:
                 skipped += 1
                 continue
-            jobs.append((key, (regime, method, dict(options or {}), replicate,
-                               base_seed, forecast, out_dir if save_artifacts else None)))
+            jobs.append((run_id.key, (regime, method, dict(options or {}), replicate,
+                                      base_seed, forecast, out_dir if save_artifacts else None)))
 
     def handle(key, outcome):
         rows, run_manifest = outcome

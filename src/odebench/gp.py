@@ -51,6 +51,7 @@ MATERN_NU = 2.01
 
 DDK_JITTER = 1e-6  # absolute diagonal perturbation on K'' before forming C
 K_JITTER_BASE = 1e-7  # relative (times amplitude^2) retry jitter on K
+FIT_LR = 0.01  # Adam step of the hyperparameter fit
 
 
 class GpFitError(RuntimeError):
@@ -295,7 +296,6 @@ def gp_smooth_fit(
     obs_values: np.ndarray,
     use_fourier_prior: bool = False,
     n_iter: int = 1500,
-    lr: float = 0.01,
 ) -> GpFit:
     """Fit Matern hyperparameters and a noise scale by marginal likelihood.
 
@@ -363,7 +363,7 @@ def gp_smooth_fit(
             g[1] += dpen
         return obj, g
 
-    adam = Adam([params], lr=lr)
+    adam = Adam([params], lr=FIT_LR)
     history = []
     for it in range(n_iter):
         obj, grad = objective_and_grad(params)

@@ -9,9 +9,16 @@ ODE parameters, per-component noise scales) combines, per component:
     the conditional mean of the GP derivative, weighted by the conditional
     covariance of that derivative.
 
-Sampling is delegated to the NUTS chain in :mod:`odebench.sampler`; both
-forecasting protocols (extended grid for the epidemic testbed, sequential
-horizon growth for the chaotic one) are driven from here.
+Sampling is delegated to the NUTS chain in :mod:`odebench.sampler`.  The
+three protocols share one path: ``_insample_setup`` builds the in-sample
+grid, the gradient-matching initializer and the GP fits; ``run_inference``
+starts a chain from an initializer and ``_sample_posterior`` runs NUTS and
+summarizes the draws.  ``fit_magi`` is the in-sample protocol.
+``forecast_extended_grid`` (epidemic testbed) extends the grid past the
+data; ``forecast_sequential`` (chaotic testbed) starts with ``fit_magi`` and
+then grows the horizon stage by stage from the last draw.  Both forecasts
+continue trajectories past a boundary with ``_continue_past``, and all three
+return ``PosteriorSamples``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
@@ -53,6 +60,8 @@ __all__ = [
 
 LOG_SIGMA_LO = math.log(1e-6)
 LOG_SIGMA_HI = math.log(1e3)
+INIT_LR = 0.01  # Adam step of the gradient-matching initializer
+INIT_CURVATURE_WEIGHT = 1e-3  # its smoothness penalty on the missing components
 
 
 def uniform_grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -196,16 +205,6 @@ class MagiProblem:
             x[:, :, c] = q[:, :, c] @ self.Lmat[c].T + self.mu[c]
         out[:, : m * d] = x.reshape(draws.shape[0], m * d)
         return out
-
-    def coordinate_names(self) -> list[str]:
-        names = [
-            f"x[{self.model.component_names[c]},{i}]"
-            for i in range(self.grid.size)
-            for c in range(self.model.state_dim)
-        ]
-        names += [f"theta[{p}]" for p in self.model.param_names]
-        names += [f"log_sigma[{self.model.component_names[c]}]" for c in self.observed]
-        return names
 
 
 def make_problem(
@@ -420,8 +419,6 @@ def init_missing_components(
     grid: DiscretizationGrid,
     observations: ObservationSet,
     n_iter: int = 3000,
-    lr: float = 0.01,
-    curvature_weight: float = 1e-3,
 ) -> InitResult:
     """Initial trajectories and parameters for the sampler.
 
@@ -471,14 +468,14 @@ def init_missing_components(
                 g_free = 2.0 * (d1.T @ resid[:, missing])
                 g_free -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
                 curv = d2 @ free_block
-                obj += curvature_weight * float(np.sum(curv * curv))
-                g_free += 2.0 * curvature_weight * (d2.T @ curv)
+                obj += INIT_CURVATURE_WEIGHT * float(np.sum(curv * curv))
+                g_free += 2.0 * INIT_CURVATURE_WEIGHT * (d2.T @ curv)
             else:
                 g_free = np.zeros((m_sz, 0))
         g_u = np.where(pos, g_theta_raw * theta, g_theta_raw)
         return obj, g_free, g_u
 
-    adam = Adam([free_x, u_theta], lr=lr)
+    adam = Adam([free_x, u_theta], lr=INIT_LR)
     ok = True
     for _ in range(n_iter):
         obj, g_free, g_u = objective_and_grads(free_x, u_theta)
@@ -540,6 +537,10 @@ class PosteriorSamples:
         p = len(self.param_names)
         return self.draws[:, m * d : m * d + p]
 
+    def log_sigma_draws(self) -> np.ndarray:
+        m, d = self.grid_times.size, len(self.component_names)
+        return self.draws[:, m * d + len(self.param_names) :]
+
     def save(self, prefix: str) -> None:
         """Write draws as flat doubles plus a JSON sidecar and summary CSV."""
         self.draws.astype(np.float64).tofile(f"{prefix}.bin")
@@ -577,8 +578,7 @@ class PosteriorSamples:
                     f"theta,{name},,{self.theta_mean[j]:.17g},"
                     f"{self.theta_ci[j, 0]:.17g},{self.theta_ci[j, 1]:.17g}\n"
                 )
-            sig_draws = np.exp(self.draws[:, -len(self.sigma_components):]) \
-                if self.sigma_components else np.empty((self.n_samples, 0))
+            sig_draws = np.exp(self.log_sigma_draws())
             for j, name in enumerate(self.sigma_components):
                 fh.write(
                     f"sigma,{name},,{self.sigma_mean[j]:.17g},"
@@ -593,23 +593,24 @@ class PosteriorSamples:
         draws = np.fromfile(f"{prefix}.bin", dtype=np.float64).reshape(
             meta["n_samples"], meta["dim"])
         grid_times = np.asarray(meta["grid_times"])
-        return _summarize(
+        post = _summarize(
             draws,
             grid_times,
             tuple(meta["component_names"]),
             tuple(meta["param_names"]),
             tuple(meta["sigma_components"]),
             seed=meta["seed"],
-            config_hash=meta.get("config_hash", ""),
             flags=tuple(meta.get("flags", ())),
             step_size=meta.get("step_size", float("nan")),
             divergence_count=meta.get("divergence_count", 0),
         )
+        post.config_hash = meta.get("config_hash", "")
+        return post
 
 
 def _summarize(draws, grid_times, component_names, param_names, sigma_components,
-               seed, config_hash="", flags=(), step_size=float("nan"),
-               divergence_count=0, x_deriv_mean=None) -> PosteriorSamples:
+               seed, flags=(), step_size=float("nan"),
+               divergence_count=0) -> PosteriorSamples:
     m, d = grid_times.size, len(component_names)
     p = len(param_names)
     x_mean = draws[:, : m * d].mean(axis=0).reshape(m, d)
@@ -634,11 +635,9 @@ def _summarize(draws, grid_times, component_names, param_names, sigma_components
         theta_ci=theta_ci,
         sigma_mean=sigma_mean,
         seed=seed,
-        config_hash=config_hash,
         flags=flags,
         step_size=step_size,
         divergence_count=divergence_count,
-        x_deriv_mean=x_deriv_mean,
     )
 
 
@@ -663,17 +662,16 @@ def run_inference(
     n_warmup: int = 3000,
     n_samples: int = 3000,
     seed: int = 0,
-    config_hash: str = "",
 ) -> PosteriorSamples:
     """NUTS over the full joint state; returns draws plus posterior summaries."""
     state = MagiState(x=np.asarray(init.x, dtype=float), theta=np.asarray(init.theta, dtype=float),
                       log_sigma=_initial_log_sigma(problem))
     flags = init.flag.split() if init.flag else []
-    return _sample_posterior(problem, state, flags, seed, n_warmup, n_samples, config_hash)
+    return _sample_posterior(problem, state, flags, seed, n_warmup, n_samples)
 
 
 def _sample_posterior(problem: MagiProblem, state: MagiState, flags: list[str], seed: int,
-                      n_warmup: int, n_samples: int, config_hash: str) -> PosteriorSamples:
+                      n_warmup: int, n_samples: int) -> PosteriorSamples:
     """NUTS from a ready state, then unwhiten, flag and summarize the draws.
 
     ``nuts_sample`` is looked up as this module's global at call time, so a
@@ -694,7 +692,6 @@ def _sample_posterior(problem: MagiProblem, state: MagiState, flags: list[str], 
         problem.model.param_names,
         tuple(problem.model.component_names[c] for c in problem.observed),
         seed=seed,
-        config_hash=config_hash,
         flags=tuple(flags),
         step_size=chain.step_size,
         divergence_count=chain.divergence_count,
@@ -723,45 +720,32 @@ def prepare_fits(
     return fits
 
 
-def forecast_extended_grid(
-    model: OdeModel,
-    full_times: np.ndarray,
-    n_insample: int,
-    observations: ObservationSet,
-    use_fourier_prior: bool = False,
-    n_warmup: int = 3000,
-    n_samples: int = 3000,
-    seed: int = 0,
-    init_budget: int = 3000,
-    config_hash: str = "",
-) -> PosteriorSamples:
-    """Joint inference over the observation window plus a forecast horizon.
+def _insample_setup(model: OdeModel, times: np.ndarray, observations: ObservationSet,
+                    use_fourier_prior: bool, init_budget: int,
+                    ) -> tuple[DiscretizationGrid, InitResult, dict[int, GpFit]]:
+    """The in-sample grid, the gradient-matching initializer and the GP fits."""
+    grid = DiscretizationGrid.build(np.asarray(times, dtype=float), observations.times)
+    init = init_missing_components(model, grid, observations, n_iter=init_budget)
+    return grid, init, prepare_fits(model, grid, observations, use_fourier_prior, init)
 
-    The discretization grid simply extends past the data; the forecast
-    segment of the initial trajectory is continued by numerical integration
-    from the in-sample initializer.
+
+def _continue_past(model: OdeModel, x_head: np.ndarray, theta: np.ndarray,
+                   times: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Extend ``x_head`` (the first rows of ``times``) over all of ``times``.
+
+    The new rows come from integrating forward from the last row of
+    ``x_head``.  If the integration fails they repeat that row instead, and
+    the second return value is False.
     """
-    full_times = np.asarray(full_times, dtype=float)
-    insample = DiscretizationGrid.build(full_times[:n_insample], observations.times)
-    init_in = init_missing_components(model, insample, observations, n_iter=init_budget)
-
-    x_full = np.empty((full_times.size, model.state_dim))
-    x_full[:n_insample] = init_in.x
-    tail_times = full_times[n_insample - 1 :]
+    n_head = x_head.shape[0]
+    x = np.empty((times.size, model.state_dim))
+    x[:n_head] = x_head
     try:
-        tail = integrate_rk45(model, init_in.x[-1], init_in.theta, tail_times)
-        x_full[n_insample:] = tail.values[1:]
-        flag = init_in.flag
+        x[n_head:] = integrate_rk45(model, x_head[-1], theta, times[n_head - 1:]).values[1:]
+        return x, True
     except IntegrationError:
-        x_full[n_insample:] = init_in.x[-1]
-        flag = "forecast-init-constant" if init_in.flag is None else init_in.flag
-    init_full = InitResult(x=x_full, theta=init_in.theta, flag=flag)
-
-    fits = prepare_fits(model, insample, observations, use_fourier_prior, init_in)
-    grid_full = DiscretizationGrid.build(full_times, observations.times)
-    problem = make_problem(model, grid_full, observations, fits)
-    return run_inference(problem, init_full, n_warmup=n_warmup, n_samples=n_samples,
-                         seed=seed, config_hash=config_hash)
+        x[n_head:] = x_head[-1]
+        return x, False
 
 
 def fit_magi(
@@ -773,21 +757,40 @@ def fit_magi(
     n_samples: int = 3000,
     seed: int = 0,
     init_budget: int = 3000,
-    config_hash: str = "",
 ) -> PosteriorSamples:
     """In-sample protocol: initialize, fit hyperparameters, sample."""
-    grid = DiscretizationGrid.build(np.asarray(times, dtype=float), observations.times)
-    init = init_missing_components(model, grid, observations, n_iter=init_budget)
-    fits = prepare_fits(model, grid, observations, use_fourier_prior, init)
+    grid, init, fits = _insample_setup(model, times, observations, use_fourier_prior,
+                                       init_budget)
     problem = make_problem(model, grid, observations, fits)
-    return run_inference(problem, init, n_warmup=n_warmup, n_samples=n_samples,
-                         seed=seed, config_hash=config_hash)
+    return run_inference(problem, init, n_warmup=n_warmup, n_samples=n_samples, seed=seed)
 
 
-@dataclass(frozen=True)
-class SequentialStage:
-    grid_size: int
-    samples: PosteriorSamples
+def forecast_extended_grid(
+    model: OdeModel,
+    full_times: np.ndarray,
+    n_insample: int,
+    observations: ObservationSet,
+    use_fourier_prior: bool = False,
+    n_warmup: int = 3000,
+    n_samples: int = 3000,
+    seed: int = 0,
+    init_budget: int = 3000,
+) -> PosteriorSamples:
+    """Joint inference over the observation window plus a forecast horizon.
+
+    The discretization grid simply extends past the data; the forecast
+    segment of the initial trajectory is continued by numerical integration
+    from the in-sample initializer, and the GP fits are the in-sample ones.
+    """
+    full_times = np.asarray(full_times, dtype=float)
+    _, init_in, fits = _insample_setup(model, full_times[:n_insample], observations,
+                                       use_fourier_prior, init_budget)
+    x_full, continued = _continue_past(model, init_in.x, init_in.theta, full_times)
+    flag = init_in.flag or (None if continued else "forecast-init-constant")
+    problem = make_problem(model, DiscretizationGrid.build(full_times, observations.times),
+                           observations, fits)
+    return run_inference(problem, InitResult(x=x_full, theta=init_in.theta, flag=flag),
+                         n_warmup=n_warmup, n_samples=n_samples, seed=seed)
 
 
 def forecast_sequential(
@@ -801,14 +804,15 @@ def forecast_sequential(
     n_samples: int = 3000,
     seed: int = 0,
     init_budget: int = 3000,
-    config_hash: str = "",
-) -> tuple[PosteriorSamples, list[SequentialStage]]:
+) -> PosteriorSamples:
     """Stepwise horizon extension with warm starts between stages.
 
-    Each stage appends ``points_per_step`` grid points; the old segment is
-    warm-started from the previous chain's final draw, the new segment by
-    integrating forward from the boundary state, and kernel hyperparameters
-    are refit on the last unit interval of the previous posterior mean.
+    Stage 0 is ``fit_magi`` on the in-sample grid.  Each later stage appends
+    ``points_per_step`` grid points: the old segment is warm-started from
+    the previous stage's final draw, the new segment by integrating forward
+    from the boundary state, and kernel hyperparameters are refit on the
+    last unit interval of the previous posterior mean.  Returns the last
+    stage's posterior, which covers all of ``full_times``.
     """
     full_times = np.asarray(full_times, dtype=float)
     if (full_times.size - n_insample) % points_per_step != 0:
@@ -818,30 +822,21 @@ def forecast_sequential(
     seed_seq = np.random.SeedSequence(seed)
     stage_seeds = [int(s.generate_state(1)[0]) for s in seed_seq.spawn(n_steps + 1)]
 
-    grid0 = DiscretizationGrid.build(full_times[:n_insample], observations.times)
-    init0 = init_missing_components(model, grid0, observations, n_iter=init_budget)
-    fits = prepare_fits(model, grid0, observations, use_fourier_prior, init0)
-    problem = make_problem(model, grid0, observations, fits)
-    samples = run_inference(problem, init0, n_warmup=n_warmup, n_samples=n_samples,
-                            seed=stage_seeds[0], config_hash=config_hash)
-    stages = [SequentialStage(grid_size=n_insample, samples=samples)]
+    samples = fit_magi(model, full_times[:n_insample], observations,
+                       use_fourier_prior=use_fourier_prior, n_warmup=n_warmup,
+                       n_samples=n_samples, seed=stage_seeds[0], init_budget=init_budget)
 
-    for step in range(1, n_steps + 1):
-        prev_len = n_insample + (step - 1) * points_per_step
+    for stage_seed in stage_seeds[1:]:
+        prev_len = samples.grid_times.size
         new_len = prev_len + points_per_step
-        times_new = full_times[:new_len]
 
-        last = problem.unpack(samples.draws[-1])
-        x_init = np.empty((new_len, model.state_dim))
-        x_init[:prev_len] = last.x
-        flag = None
-        seg_times = full_times[prev_len - 1 : new_len]
-        try:
-            seg = integrate_rk45(model, last.x[-1], last.theta, seg_times)
-            x_init[prev_len:] = seg.values[1:]
-        except IntegrationError:
-            x_init[prev_len:] = last.x[-1]
-            flag = "forecast-warmstart-constant"
+        theta_last = samples.theta_draws()[-1].copy()
+        log_sigma_last = samples.log_sigma_draws()[-1].copy()
+        x_init, continued = _continue_past(model, samples.x_draws()[-1], theta_last,
+                                           full_times[:new_len])
+        flags = []
+        if not continued:
+            flags.append("forecast-warmstart-constant")
             warnings.warn("warm-start integration failed; extrapolating the boundary state")
 
         # Refit hyperparameters on the final unit interval of the previous
@@ -857,11 +852,9 @@ def forecast_sequential(
                 use_fourier_prior=use_fourier_prior,
             )
 
-        grid_new = DiscretizationGrid.build(times_new, observations.times)
+        grid_new = DiscretizationGrid.build(full_times[:new_len], observations.times)
         problem = make_problem(model, grid_new, observations, fits)
-        state = MagiState(x=x_init, theta=last.theta.copy(), log_sigma=last.log_sigma.copy())
-        samples = _sample_posterior(problem, state, [flag] if flag else [], stage_seeds[step],
-                                    n_warmup, n_samples, config_hash)
-        stages.append(SequentialStage(grid_size=new_len, samples=samples))
+        state = MagiState(x=x_init, theta=theta_last, log_sigma=log_sigma_last)
+        samples = _sample_posterior(problem, state, flags, stage_seed, n_warmup, n_samples)
 
-    return samples, stages
+    return samples

@@ -31,7 +31,7 @@ __all__ = [
     "train_pinn",
 ]
 
-LAMBDA_GRID = (0.1, 1.0, 10.0, 100.0, 1000.0)
+HIDDEN_WIDTH = 20
 
 
 @dataclass
@@ -216,11 +216,9 @@ class PinnConfig:
     lam: float = 10.0
     epochs: int = 60000
     learning_rate: float = 0.01
-    n_hidden: int = 3  # 3 or 4 hidden layers of width 20
-    width: int = 20
+    n_hidden: int = 3  # 3 or 4 hidden layers of HIDDEN_WIDTH units
     t_lo: float = 0.0  # training span mapped onto [-1, 1]
     t_hi: float = 1.0
-    theta_init: tuple[float, ...] | None = None
     seed: int = 0
     log_every: int = 100
 
@@ -260,13 +258,10 @@ def train_pinn(
     produce a non-finite loss or gradient are skipped; a run with >= 1% of
     steps skipped is flagged unstable but still returned.
     """
-    widths = [1] + [config.width] * config.n_hidden + [model.state_dim]
+    widths = [1] + [HIDDEN_WIDTH] * config.n_hidden + [model.state_dim]
     net = init_mlp(widths, config.t_lo, config.t_hi, seed=config.seed)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xFEED)))
-    if config.theta_init is not None:
-        theta0 = np.asarray(config.theta_init, dtype=float)
-    else:
-        theta0 = rng.uniform(0.5, 1.5, size=model.param_dim)
+    theta0 = rng.uniform(0.5, 1.5, size=model.param_dim)
     pos = np.asarray(model.positive_params, dtype=bool)
     u_theta = np.where(pos, np.log(theta0), theta0)
 

@@ -22,19 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-try:
-    from numba import njit
-    from numba.core.dispatcher import Dispatcher as _NumbaDispatcher
-
-    NUMBA_OK = True
-except ImportError:  # pragma: no cover
-    NUMBA_OK = False
-    _NumbaDispatcher = ()
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not args else args[0]
+from ._fast import NUMBA_OK, NumbaDispatcher, njit
 
 __all__ = [
     "NutsConfig",
@@ -201,7 +189,7 @@ def _transition(f, ctx, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
             if math.isfinite(h):
                 delta = h - h0
                 alpha_sum += math.exp(delta) if delta < 0.0 else 1.0
-                div = (h0 - h) > 1000.0
+                div = (h0 - h) > DIVERGENCE_THRESHOLD
             else:
                 div = True
             if div:
@@ -312,7 +300,10 @@ def _chain(f, ctx, q0, n_warmup, n_samples, target_accept, max_depth, rng,
     return math.exp(log_eps_bar), divergences, n_leapfrog_total
 '''
 
-_py_ns: dict = {"math": math, "np": np}
+# Names the engine source reads as globals; numba freezes them as constants.
+_ENGINE_GLOBALS = {"math": math, "np": np, "DIVERGENCE_THRESHOLD": DIVERGENCE_THRESHOLD}
+
+_py_ns: dict = dict(_ENGINE_GLOBALS)
 exec(compile(_ENGINE_SOURCE, "<sampler-python-engine>", "exec"), _py_ns)
 _chain_python = _py_ns["_chain"]
 _find_step_python = _py_ns["_find_step_size"]
@@ -323,7 +314,7 @@ if NUMBA_OK:
     # compiled versions before the chain driver is compiled.  Functions that
     # close over a dispatcher argument cannot be disk-cached by numba, so
     # compilation happens once per process.
-    _nb_ns: dict = {"math": math, "np": np}
+    _nb_ns: dict = dict(_ENGINE_GLOBALS)
     exec(compile(_ENGINE_SOURCE, "<sampler-numba-engine>", "exec"), _nb_ns)
     _nb_ns["_dual_average"] = njit(cache=False)(_nb_ns["_dual_average"])
     _nb_ns["_leapfrog"] = njit(cache=False)(_nb_ns["_leapfrog"])
@@ -371,7 +362,7 @@ def nuts_sample(
     """
     if isinstance(logdensity_and_grad, CompiledTarget):
         f, ctx = logdensity_and_grad.func, logdensity_and_grad.ctx
-        engine = _chain_numba if isinstance(f, _NumbaDispatcher) else _chain_python
+        engine = _chain_numba if isinstance(f, NumbaDispatcher) else _chain_python
         probe = lambda q: f(q, ctx)  # noqa: E731
     else:
         engine = _chain_python

@@ -286,3 +286,54 @@ def test_run_single_forecast_adds_qoi(tmp_path):
     assert "abs_error_R0" in metrics
     assert "abs_error_peak_time" in metrics
     assert "abs_error_peak_intensity" in metrics
+
+
+FORECAST_MAGI = {"n_warmup": 5, "n_samples": 5, "init_budget": 50}
+
+
+def lorenz_forecast_small():
+    """The sequential-forecast regime cut to two warm-started stages."""
+    return replace(E.get_regime("lorenz-forecast"), t_obs_end=1.0, n_obs=11,
+                   n_grid_insample=21, t_end=2.0, n_grid_total=41, points_per_step=10,
+                   eval_index_lo=20, eval_index_hi=40)
+
+
+def _forecast_run(regime, out_dir):
+    out_dir.mkdir()
+    return E.run_single(regime, "magi", FORECAST_MAGI, replicate=0, base_seed=4,
+                        forecast=True, out_dir=str(out_dir))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("make_regime", [lambda: tiny_regime(name="tiny-extended"),
+                                         lorenz_forecast_small],
+                         ids=["extended", "sequential"])
+def test_run_single_magi_forecast_protocols(tmp_path, make_regime):
+    regime = make_regime()
+    rows, manifest = _forecast_run(regime, tmp_path / "a")
+    rows_again, _ = _forecast_run(regime, tmp_path / "b")
+    assert rows == rows_again
+
+    metrics = {(r[5], r[6]) for r in rows}
+    for comp in regime.model().component_names:
+        assert (comp, "rmse_forecast") in metrics
+    if regime.peak_component is not None:
+        for name, metric in (("R0", "abs_error_R0"), ("peak_time", "abs_error_peak_time"),
+                             ("peak_intensity", "abs_error_peak_intensity")):
+            assert (name, metric) in metrics
+
+    (sidecar,) = (tmp_path / "a").glob("posterior_*.json")
+    meta = json.loads(sidecar.read_text())
+    assert meta["grid_size"] == regime.n_grid_total
+    assert meta["config_hash"] == manifest["config_hash"] != ""
+
+
+def test_run_study_pool_matches_serial(tmp_path):
+    regime = tiny_regime(name="tiny-pool")
+    methods = [("magi", FORECAST_MAGI)]
+    for jobs in (1, 2):
+        res = E.run_study(regime, methods, replicates=2, base_seed=3, parallelism=jobs,
+                          out_dir=str(tmp_path / f"jobs{jobs}"))
+        assert res.attempted == 2 and res.failed == 0
+    serial = (tmp_path / "jobs1" / "results.csv").read_bytes()
+    assert (tmp_path / "jobs2" / "results.csv").read_bytes() == serial

@@ -12,6 +12,18 @@ def decay(x, p, t):
     return -x
 
 
+def test_trajectory_csv_roundtrip(tmp_path):
+    times = np.linspace(0.0, 1.0, 7)
+    values = np.random.default_rng(2).standard_normal((7, 2))
+    path = tmp_path / "traj.csv"
+    Trajectory(times=times, values=values).to_csv(path, component_names=("a", "b"))
+    assert path.read_text().splitlines()[0] == "t,a,b"
+    back = Trajectory.from_csv(path, model_name="m")
+    assert np.array_equal(back.times, times)
+    assert np.array_equal(back.values, values)
+    assert back.model_name == "m"
+
+
 def test_exponential_decay_endpoint():
     traj = integrate_rk45(decay, np.array([1.0]), np.zeros(1), np.array([0.0, 1.0]))
     assert abs(traj.values[-1, 0] - np.exp(-1.0)) < 1e-6

@@ -318,8 +318,8 @@ def test_posterior_samples_roundtrip(tmp_path, seir_small):
     problem = seir_small["problem"]
     init = magi.init_missing_components(seir_small["model"], seir_small["grid"],
                                         seir_small["obs"], n_iter=200)
-    post = magi.run_inference(problem, init, n_warmup=30, n_samples=40, seed=2,
-                              config_hash="abc123")
+    post = magi.run_inference(problem, init, n_warmup=30, n_samples=40, seed=2)
+    post.config_hash = "abc123"
     prefix = str(tmp_path / "post")
     post.save(prefix)
     back = magi.PosteriorSamples.load(prefix)
