@@ -431,6 +431,8 @@ def run_single(
     time lives only in the manifest so result CSVs stay byte-identical
     across reruns.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     model = regime.model()
     options = dict(options or {})
     run_id = _run_identity(regime, method, options, replicate, base_seed, forecast)

@@ -22,12 +22,12 @@ lags among its n^2 (57 of 441 at 21 points, 512 of 25,921 at 161).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import gammaln, kv
 
 from .optim import Adam
@@ -43,8 +43,6 @@ __all__ = [
     "build_kernel_mats",
     "gp_smooth_fit",
     "dominant_half_period",
-    "hypers_to_json",
-    "hypers_from_json",
 ]
 
 MATERN_NU = 2.01
@@ -78,41 +76,52 @@ class MaternHyper:
             raise ValueError(f"smoothness is fixed at {MATERN_NU}")
 
 
+# Constants of the Matern family at nu = MATERN_NU: z = sqrt(2 nu) r / l
+# and the normalization c = 2^(1-nu) / Gamma(nu).
+_SQRT_2NU = math.sqrt(2.0 * MATERN_NU)
+_MATERN_C = math.exp((1.0 - MATERN_NU) * math.log(2.0) - gammaln(MATERN_NU))
+
+
+def _matern_value_terms(amp2: float, ell: float, r: np.ndarray):
+    """Return (k, dk/dlog lengthscale, core) of the lags r >= 0, elementwise.
+
+    These are the two terms the marginal likelihood reads.  core holds the
+    Bessel pieces (a, tiny, zs, z^nu K_nu, K_{nu-1}) that _matern_lag_terms
+    reuses for k' and k''.  Zero (and numerically tiny) lags are filled with
+    the analytic limits.
+    """
+    nu = MATERN_NU
+    a = _SQRT_2NU / ell
+    z = a * r
+    tiny = z < 1e-10
+    zs = np.where(tiny, 1.0, z)  # placeholder to keep kv finite
+
+    znu_knu = zs ** nu * kv(nu, zs)
+    kv_num1 = kv(nu - 1.0, zs)
+    k0 = np.where(tiny, amp2, amp2 * _MATERN_C * znu_knu)
+    dlogell = np.where(tiny, 0.0, amp2 * _MATERN_C * zs ** (nu + 1.0) * kv_num1)
+    if not np.isfinite(k0).all():
+        raise FloatingPointError("non-finite Bessel evaluation in Matern kernel")
+    return k0, dlogell, (a, tiny, zs, znu_knu, kv_num1)
+
+
 def _matern_lag_terms(hyper: MaternHyper, r: np.ndarray):
     """Return (k, k', k'', dk/dlog lengthscale) of the lags r >= 0, elementwise.
 
     Callers pass each distinct lag once (see _distinct_lags) and scatter the
     results back, so each Bessel order is evaluated once per distinct lag.
-    Zero (and numerically tiny) lags are filled with the analytic limits.
     """
-    nu = hyper.nu
+    nu = MATERN_NU
     ell = hyper.lengthscale
     amp2 = hyper.amplitude ** 2
-    a = math.sqrt(2.0 * nu) / ell
-    logc = (1.0 - nu) * math.log(2.0) - gammaln(nu)
-    c = math.exp(logc)
+    k0, dlogell, (a, tiny, zs, znu_knu, kv_num1) = _matern_value_terms(
+        amp2, ell, np.asarray(r, dtype=float))
 
-    r = np.asarray(r, dtype=float)
-    z = a * r
-    tiny = z < 1e-10
-    zs = np.where(tiny, 1.0, z)  # placeholder to keep kv finite
-
-    kv_nu = kv(nu, zs)
-    kv_num1 = kv(nu - 1.0, zs)
-    znu_knu = zs ** nu * kv_nu
-    znu_knum1 = zs ** nu * kv_num1
-    znum1_knum1 = zs ** (nu - 1.0) * kv_num1
-
-    k0 = amp2 * c * znu_knu
-    k1 = -amp2 * c * a * znu_knum1
-    k2 = -amp2 * c * a * a * ((2.0 * nu - 1.0) * znum1_knum1 - znu_knu)
-    dlogell = amp2 * c * zs ** (nu + 1.0) * kv_num1
-
-    k0 = np.where(tiny, amp2, k0)
+    k1 = -amp2 * _MATERN_C * a * (zs ** nu * kv_num1)
+    k2 = -amp2 * _MATERN_C * a * a * ((2.0 * nu - 1.0) * (zs ** (nu - 1.0) * kv_num1) - znu_knu)
     k1 = np.where(tiny, 0.0, k1)
     k2 = np.where(tiny, -amp2 * nu / ((nu - 1.0) * ell * ell), k2)
-    dlogell = np.where(tiny, 0.0, dlogell)
-    if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))):
+    if not (np.isfinite(k1).all() and np.isfinite(k2).all()):
         raise FloatingPointError("non-finite Bessel evaluation in Matern kernel")
     return k0, k1, k2, dlogell
 
@@ -291,6 +300,74 @@ def _fourier_penalty_and_grad(ell: float, half_period: float) -> tuple[float, fl
     return penalty, dpen_dlogell
 
 
+@dataclass(frozen=True)
+class _FitData:
+    """What one marginal-likelihood evaluation reads besides the parameters.
+
+    y         observed values
+    lags      distinct lags |t_i - t_j|; lags[inverse] is the n x n lag matrix
+    eye       n x n identity
+    norm_term 0.5 n log(2 pi)
+    """
+
+    y: np.ndarray
+    lags: np.ndarray
+    inverse: np.ndarray
+    eye: np.ndarray
+    norm_term: float
+    half_period: float | None
+
+    @classmethod
+    def build(cls, t: np.ndarray, y: np.ndarray, half_period: float | None) -> "_FitData":
+        n = t.size
+        lags, inverse = _distinct_lags(np.abs(t[:, None] - t[None, :]))
+        return cls(y=y, lags=lags, inverse=inverse, eye=np.eye(n),
+                   norm_term=0.5 * n * math.log(2.0 * math.pi), half_period=half_period)
+
+
+def _fit_objective(p: np.ndarray, data: _FitData) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood (plus the Fourier penalty) and its gradient.
+
+    p = (log amplitude, log lengthscale, mean, log noise_sd).  K + noise^2 I
+    is factored by LAPACK potrf; if that fails, a 1e-10 amplitude^2 diagonal
+    jitter is added once and the factorization retried.
+    """
+    amp, ell, mu, nsd = math.exp(p[0]), math.exp(p[1]), p[2], math.exp(p[3])
+    eye = data.eye
+    k0, dlogell, _ = _matern_value_terms(amp ** 2, ell, data.lags)
+    K = k0[data.inverse]
+    Ky = K + (nsd * nsd) * eye
+    chol, info = dpotrf(Ky, lower=1, clean=0)
+    if info != 0:
+        chol, info = dpotrf(Ky + (1e-10 * amp * amp) * eye, lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError("marginal-likelihood covariance is not positive definite")
+    resid = data.y - mu
+    alpha = dpotrs(chol, resid, lower=1)[0]
+    logdet = 2.0 * np.log(chol.diagonal()).sum()
+    nll = 0.5 * float(resid @ alpha) + 0.5 * logdet + data.norm_term
+
+    Kyinv = dpotrs(chol, eye, lower=1)[0]
+    dK_lamp = 2.0 * K
+    dK_lell = dlogell[data.inverse]
+
+    def dnll(dmat):
+        return 0.5 * float((Kyinv * dmat).sum()) - 0.5 * float(alpha @ (dmat @ alpha))
+
+    g = np.array([
+        dnll(dK_lamp),
+        dnll(dK_lell),
+        -float(alpha.sum()),
+        (nsd * nsd) * (float(Kyinv.trace()) - float(alpha @ alpha)),
+    ])
+    obj = nll
+    if data.half_period is not None:
+        pen, dpen = _fourier_penalty_and_grad(ell, data.half_period)
+        obj += pen
+        g[1] += dpen
+    return obj, g
+
+
 def gp_smooth_fit(
     obs_times: np.ndarray,
     obs_values: np.ndarray,
@@ -308,7 +385,6 @@ def gp_smooth_fit(
     y = np.asarray(obs_values, dtype=float)
     if t.size < 5:
         raise ValueError("need at least 5 observations to fit hyperparameters")
-    n = t.size
     span = t[-1] - t[0]
     spacing = float(np.min(np.diff(t)))
     sd = float(np.std(y))
@@ -324,56 +400,18 @@ def gp_smooth_fit(
     params = np.array([math.log(sd), math.log(min(max(span / 10.0, spacing), 10.0 * span)),
                        float(np.mean(y)), math.log(max(0.1 * sd, 1e-8))])
 
-    lags, inverse = _distinct_lags(np.abs(t[:, None] - t[None, :]))
-    eye = np.eye(n)
-
-    def objective_and_grad(p):
-        amp, ell, mu, nsd = math.exp(p[0]), math.exp(p[1]), p[2], math.exp(p[3])
-        hyper = MaternHyper(amplitude=amp, lengthscale=ell, mean=mu)
-        k0, _, _, dlogell = _matern_lag_terms(hyper, lags)
-        K = k0[inverse]
-        Ky = K + (nsd * nsd) * eye
-        try:
-            chol = cho_factor(Ky, lower=True)
-        except np.linalg.LinAlgError:
-            Ky = Ky + (1e-10 * amp * amp) * eye
-            chol = cho_factor(Ky, lower=True)
-        resid = y - mu
-        alpha = cho_solve(chol, resid)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
-        nll = 0.5 * float(resid @ alpha) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
-
-        Kyinv = cho_solve(chol, eye)
-        dK_lamp = 2.0 * K
-        dK_lell = dlogell[inverse]
-
-        def dnll(dmat):
-            return 0.5 * float(np.sum(Kyinv * dmat)) - 0.5 * float(alpha @ (dmat @ alpha))
-
-        g = np.array([
-            dnll(dK_lamp),
-            dnll(dK_lell),
-            -float(np.sum(alpha)),
-            (nsd * nsd) * (float(np.trace(Kyinv)) - float(alpha @ alpha)),
-        ])
-        obj = nll
-        if half_period is not None:
-            pen, dpen = _fourier_penalty_and_grad(ell, half_period)
-            obj += pen
-            g[1] += dpen
-        return obj, g
-
+    data = _FitData.build(t, y, half_period)
     adam = Adam([params], lr=FIT_LR)
     history = []
     for it in range(n_iter):
-        obj, grad = objective_and_grad(params)
-        if not np.isfinite(obj) or not np.all(np.isfinite(grad)):
+        obj, grad = _fit_objective(params, data)
+        if not (math.isfinite(obj) and np.isfinite(grad).all()):
             raise GpFitError("non-finite marginal-likelihood objective during fit")
         history.append(obj)
         if it >= 50 and abs(history[-1] - history[-51]) < 1e-8:
             break
         (params,) = adam.step([params], [grad])
-        params = np.clip(params, lo, hi)
+        params = np.minimum(np.maximum(params, lo), hi)
 
     amp, ell, mu, nsd = math.exp(params[0]), math.exp(params[1]), params[2], math.exp(params[3])
     return GpFit(
@@ -382,40 +420,3 @@ def gp_smooth_fit(
         fourier_prior=use_fourier_prior,
         half_period=half_period,
     )
-
-
-def hypers_to_json(fits: dict[str, GpFit], path=None) -> str:
-    """Serialize per-component fits; returns the JSON text, optionally writing it."""
-    payload = [
-        {
-            "component": name,
-            "amplitude": fit.hyper.amplitude,
-            "lengthscale": fit.hyper.lengthscale,
-            "mean": fit.hyper.mean,
-            "noise_sd": fit.noise_sd,
-            "fourier_prior": fit.fourier_prior,
-        }
-        for name, fit in fits.items()
-    ]
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def hypers_from_json(text_or_path) -> dict[str, GpFit]:
-    try:
-        payload = json.loads(text_or_path)
-    except (ValueError, TypeError):
-        with open(text_or_path) as fh:
-            payload = json.load(fh)
-    fits = {}
-    for row in payload:
-        fits[row["component"]] = GpFit(
-            hyper=MaternHyper(amplitude=row["amplitude"], lengthscale=row["lengthscale"],
-                              mean=row["mean"]),
-            noise_sd=row["noise_sd"],
-            fourier_prior=bool(row.get("fourier_prior", False)),
-        )
-    return fits

@@ -448,41 +448,46 @@ def init_missing_components(
     theta0 = np.ones(p)
 
     # Optimize (missing trajectory block, theta); positivity-constrained
-    # parameters move on log scale.
+    # parameters move on log scale.  With no missing component the
+    # trajectory is fixed, and so is its finite-difference derivative.
     u_theta = np.where(pos, np.log(theta0), theta0)
-    free_x = x0[:, missing].copy() if missing else np.zeros((m_sz, 0))
+    xdot_fixed = None if missing else d1 @ x0
 
-    def objective_and_grads(free_block, u_th):
+    def objective_and_grads(blocks):
+        u_th = blocks[-1]
         theta = np.where(pos, np.exp(u_th), u_th)
-        x = x0.copy()
         if missing:
+            free_block = blocks[0]
+            x = x0.copy()
             x[:, missing] = free_block
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             xdot = d1 @ x
-            fvals = model.rhs(x, theta, times)
-            resid = xdot - fvals
-            obj = float(np.sum(resid * resid))
-            g_theta_raw = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
-            if missing:
-                jac_x = model.jac_state(x, theta, times)
-                g_free = 2.0 * (d1.T @ resid[:, missing])
-                g_free -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
-                curv = d2 @ free_block
-                obj += INIT_CURVATURE_WEIGHT * float(np.sum(curv * curv))
-                g_free += 2.0 * INIT_CURVATURE_WEIGHT * (d2.T @ curv)
-            else:
-                g_free = np.zeros((m_sz, 0))
+        else:
+            x, xdot = x0, xdot_fixed
+        fvals = model.rhs(x, theta, times)
+        resid = xdot - fvals
+        obj = float((resid * resid).sum())
+        g_theta_raw = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
         g_u = np.where(pos, g_theta_raw * theta, g_theta_raw)
-        return obj, g_free, g_u
+        if not missing:
+            return obj, [g_u]
+        jac_x = model.jac_state(x, theta, times)
+        g_free = 2.0 * (d1.T @ resid[:, missing])
+        g_free -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
+        curv = d2 @ free_block
+        obj += INIT_CURVATURE_WEIGHT * float(np.sum(curv * curv))
+        g_free += 2.0 * INIT_CURVATURE_WEIGHT * (d2.T @ curv)
+        return obj, [g_free, g_u]
 
-    adam = Adam([free_x, u_theta], lr=INIT_LR)
+    blocks = [x0[:, missing].copy(), u_theta] if missing else [u_theta]
+    adam = Adam(blocks, lr=INIT_LR)
     ok = True
-    for _ in range(n_iter):
-        obj, g_free, g_u = objective_and_grads(free_x, u_theta)
-        if not np.isfinite(obj) or not np.all(np.isfinite(g_u)) or not np.all(np.isfinite(g_free)):
-            ok = False
-            break
-        free_x, u_theta = adam.step([free_x, u_theta], [g_free, g_u])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n_iter):
+            obj, grads = objective_and_grads(blocks)
+            if not (math.isfinite(obj) and all(np.isfinite(g).all() for g in grads)):
+                ok = False
+                break
+            blocks = adam.step(blocks, grads)
 
     if not ok:
         warnings.warn("gradient-matching initializer diverged; using constant fallback")
@@ -491,11 +496,12 @@ def init_missing_components(
             x[:, c] = fallback_level
         return InitResult(x=x, theta=np.ones(p), flag="init-fallback-constant")
 
+    u_theta = blocks[-1]
     theta = np.where(pos, np.exp(u_theta), u_theta)
     theta = np.clip(theta, [b[0] for b in model.theta_box], [b[1] for b in model.theta_box])
     x = x0.copy()
     if missing:
-        x[:, missing] = free_x
+        x[:, missing] = blocks[0]
     return InitResult(x=x, theta=theta, flag=None)
 
 

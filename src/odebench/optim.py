@@ -8,7 +8,11 @@ __all__ = ["Adam"]
 
 
 class Adam:
-    """Adam with bias correction; ``step`` returns new arrays, never mutates."""
+    """Adam with bias correction.
+
+    ``step`` returns new parameter arrays and never mutates the ones passed
+    in; the moment estimates are updated in place.
+    """
 
     def __init__(self, params_like, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -25,10 +29,17 @@ class Adam:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            # p - lr * m_hat / (sqrt(v_hat) + eps), one temporary per moment.
+            upd = m / bc1
+            upd *= self.lr
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += self.eps
+            upd /= den
+            out.append(p - upd)
         return out

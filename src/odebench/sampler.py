@@ -29,7 +29,6 @@ __all__ = [
     "ChainResult",
     "CompiledTarget",
     "nuts_sample",
-    "find_initial_step_size",
     "effective_sample_size",
 ]
 
@@ -99,13 +98,7 @@ def _leapfrog(f, ctx, q, r, grad, eps):
     r_half = r + (0.5 * eps) * grad
     q_new = q + eps * r_half
     logp_new, grad_new = f(q_new, ctx)
-    ok = math.isfinite(logp_new)
-    if ok:
-        for i in range(grad_new.size):
-            if not math.isfinite(grad_new[i]):
-                ok = False
-                break
-    if not ok:
+    if not (math.isfinite(logp_new) and np.isfinite(grad_new).all()):
         return q_new, r_half, grad_new, -np.inf
     r_new = r_half + (0.5 * eps) * grad_new
     return q_new, r_new, grad_new, logp_new
@@ -217,16 +210,8 @@ def _transition(f, ctx, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
             else:
                 lvl = 1
                 while lvl <= depth and leaf % (1 << lvl) == 0:
-                    turned = False
-                    acc_a = 0.0
-                    acc_b = 0.0
-                    for i in range(dim):
-                        dq = direction * (qq[i] - slot_q[lvl, i])
-                        acc_a += dq * slot_r[lvl, i]
-                        acc_b += dq * rr[i]
-                    if acc_a < 0.0 or acc_b < 0.0:
-                        turned = True
-                    if turned:
+                    dq = direction * (qq - slot_q[lvl])
+                    if np.dot(dq, slot_r[lvl]) < 0.0 or np.dot(dq, rr) < 0.0:
                         sub_ok = False
                         break
                     lvl += 1
@@ -245,13 +230,8 @@ def _transition(f, ctx, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
         else:
             q_minus, r_minus, grad_minus, logp_minus = qq, rr, gg, lp
 
-        acc_a = 0.0
-        acc_b = 0.0
-        for i in range(dim):
-            dq = q_plus[i] - q_minus[i]
-            acc_a += dq * r_minus[i]
-            acc_b += dq * r_plus[i]
-        if acc_a < 0.0 or acc_b < 0.0:
+        dq = q_plus - q_minus
+        if np.dot(dq, r_minus) < 0.0 or np.dot(dq, r_plus) < 0.0:
             break
 
     accept_stat = alpha_sum / max(1, n_alpha)
@@ -306,7 +286,6 @@ _ENGINE_GLOBALS = {"math": math, "np": np, "DIVERGENCE_THRESHOLD": DIVERGENCE_TH
 _py_ns: dict = dict(_ENGINE_GLOBALS)
 exec(compile(_ENGINE_SOURCE, "<sampler-python-engine>", "exec"), _py_ns)
 _chain_python = _py_ns["_chain"]
-_find_step_python = _py_ns["_find_step_size"]
 _dual_average = _py_ns["_dual_average"]
 
 if NUMBA_OK:
@@ -336,15 +315,6 @@ class CompiledTarget:
 
     func: Callable
     ctx: tuple
-
-
-def find_initial_step_size(f, q, logp, grad, rng) -> float:
-    """Double/halve a unit step until the one-step acceptance crosses 1/2."""
-    def f2(qq, _ctx):
-        return f(qq)
-
-    return _find_step_python(f2, None, np.asarray(q, dtype=float), logp,
-                             np.asarray(grad, dtype=float), rng)
 
 
 def nuts_sample(

@@ -277,6 +277,15 @@ def test_run_single_magi_metrics(tmp_path):
     assert any(p.name.startswith("posterior_") for p in tmp_path.iterdir())
 
 
+def test_run_single_creates_missing_out_dir(tmp_path):
+    out_dir = tmp_path / "not" / "yet"
+    assert not out_dir.exists()
+    E.run_single(tiny_regime(name="tiny-outdir"), "magi",
+                 {"n_warmup": 5, "n_samples": 5, "init_budget": 50},
+                 replicate=0, base_seed=1, out_dir=str(out_dir))
+    assert any(p.name.startswith("posterior_") for p in out_dir.iterdir())
+
+
 def test_run_single_forecast_adds_qoi(tmp_path):
     regime = tiny_regime(name="tiny-forecast")
     rows, _ = E.run_single(regime, "pinn", {"lam": 10.0, "epochs": 60},

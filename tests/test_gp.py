@@ -1,24 +1,28 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from odebench import magi
 from odebench.gp import (
     MATERN_NU,
-    GpFitError,
     MaternHyper,
     _distinct_lags,
+    _fit_objective,
+    _FitData,
     _matern_lag_terms,
     build_kernel_mats,
     dominant_half_period,
     gp_smooth_fit,
-    hypers_from_json,
-    hypers_to_json,
     matern_eval,
 )
-from odebench.selfcheck import fd_kernel_matrices, matrix_relative_error
+from odebench.selfcheck import (
+    central_difference_gradient,
+    fd_kernel_matrices,
+    matrix_relative_error,
+    relative_agreement,
+)
 
 from conftest import rel_err
 
@@ -222,13 +226,58 @@ def test_hyper_validation():
         MaternHyper(amplitude=1.0, lengthscale=1.0, nu=1.5)
 
 
-def test_hypers_json_roundtrip(tmp_path, seir_small):
-    fits = {name: fit for name, fit in zip("EIR", seir_small["fits"].values())}
-    path = tmp_path / "hypers.json"
-    text = hypers_to_json(fits, path)
-    parsed = json.loads(text)
-    assert {row["component"] for row in parsed} == {"E", "I", "R"}
-    back = hypers_from_json(str(path))
-    for name in fits:
-        assert back[name].hyper.lengthscale == pytest.approx(fits[name].hyper.lengthscale)
-        assert back[name].noise_sd == pytest.approx(fits[name].noise_sd)
+def _noisy_sine():
+    rng = np.random.default_rng(12)
+    t = np.linspace(0.0, 4.0, 21)
+    return t, np.sin(2.0 * np.pi * t / 1.6) + 0.1 * rng.standard_normal(21)
+
+
+def _reference_fit_objective(p, t, y, half_period):
+    """The fit objective from dense matrices: NLL = r^T Ky^-1 r / 2 + log|Ky| / 2 + const,
+    dNLL/dphi = tr((Ky^-1 - alpha alpha^T) dKy/dphi) / 2."""
+    amp, ell, mu, nsd = math.exp(p[0]), math.exp(p[1]), p[2], math.exp(p[3])
+    n = t.size
+    k0, _, _, dk_dlogell = _matern_lag_terms(MaternHyper(amp, ell), np.abs(t[:, None] - t[None, :]))
+    chol = cho_factor(k0 + nsd ** 2 * np.eye(n), lower=True)
+    resid = y - mu
+    alpha = cho_solve(chol, resid)
+    w = cho_solve(chol, np.eye(n)) - np.outer(alpha, alpha)
+    nll = (0.5 * resid @ alpha + np.sum(np.log(np.diag(chol[0])))
+           + 0.5 * n * math.log(2.0 * math.pi))
+    grad = np.array([0.5 * np.sum(w * 2.0 * k0), 0.5 * np.sum(w * dk_dlogell),
+                     -np.sum(alpha), nsd ** 2 * np.trace(w)])
+    if half_period is not None:
+        u = (ell - half_period) / half_period
+        softplus = math.log1p(math.exp(u))
+        nll += 10.0 * softplus ** 2
+        grad[1] += 20.0 * softplus / (1.0 + math.exp(-u)) * ell / half_period
+    return nll, grad
+
+
+# (log amplitude, log lengthscale, mean, log noise sd).  The first two
+# lengthscales lie beyond the sine's half period of 0.8, where the Fourier
+# penalty is steep.
+FIT_POINTS = [np.array([0.0, math.log(1.5), 0.1, math.log(0.2)]),
+              np.array([0.3, math.log(0.9), -0.2, math.log(0.05)]),
+              np.array([-0.5, math.log(0.3), 0.0, math.log(0.5)])]
+
+
+@pytest.mark.parametrize("half_period", [None, 0.8], ids=["plain", "fourier"])
+def test_fit_objective_matches_dense_reference(half_period):
+    t, y = _noisy_sine()
+    data = _FitData.build(t, y, half_period)
+    for p in FIT_POINTS:
+        obj, grad = _fit_objective(p, data)
+        ref_obj, ref_grad = _reference_fit_objective(p, t, y, half_period)
+        assert rel_err(obj, ref_obj) < 1e-12
+        assert relative_agreement(grad, ref_grad) < 1e-11
+
+
+@pytest.mark.parametrize("half_period", [None, 0.8], ids=["plain", "fourier"])
+def test_fit_objective_gradient_matches_finite_difference(half_period):
+    t, y = _noisy_sine()
+    data = _FitData.build(t, y, half_period)
+    for p in FIT_POINTS:
+        _, grad = _fit_objective(p, data)
+        fd = central_difference_gradient(lambda v: _fit_objective(v, data)[0], p)
+        assert relative_agreement(grad, fd, floor=1e-6) < 1e-7

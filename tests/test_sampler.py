@@ -10,7 +10,6 @@ from odebench.sampler import (
     NutsConfig,
     _dual_average,
     effective_sample_size,
-    find_initial_step_size,
     nuts_sample,
 )
 
@@ -157,14 +156,6 @@ def test_midchain_nonfinite_treated_as_divergence():
     res = nuts_sample(walled, np.zeros(1), cfg)
     assert np.all(np.isfinite(res.draws))
     assert np.all(np.abs(res.draws) <= 2.0)
-
-
-def test_find_initial_step_size_reasonable():
-    rng = np.random.default_rng(0)
-    q = np.zeros(2)
-    logp, grad = std_normal(q)
-    eps = find_initial_step_size(std_normal, q, logp, grad, rng)
-    assert 0.01 < eps < 10.0
 
 
 def test_config_validation():
