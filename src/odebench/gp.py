@@ -16,8 +16,10 @@ with the zero-lag limits k(0) = amp^2, k'(0) = 0 and the gradient variance
 -k''(0) = amp^2 nu / ((nu - 1) l^2).
 
 The Bessel terms K_nu and K_{nu-1} are evaluated once per distinct lag and
-scattered back to the n x n matrices: an ordered grid has O(n) distinct
-lags among its n^2 (57 of 441 at 21 points, 512 of 25,921 at 161).
+scattered back to the n x n matrices.  In exact arithmetic an evenly spaced
+grid of n points has n distinct lags among its n^2.  In floating point,
+differences of grid points differ in their last bits, so there are more:
+57 of 441 at 21 points and 512 of 25,921 at 161, against 21 and 161.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ def _matern_lag_terms(hyper: MaternHyper, r: np.ndarray):
 def _distinct_lags(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a lag matrix into its distinct lags and the index map back.
 
-    terms[inverse] rebuilds r's shape from a per-lag vector: an ordered grid
-    of n points has O(n) distinct lags among its n^2.
+    terms[inverse] rebuilds r's shape from a per-lag vector.  Lags are
+    compared exactly: an evenly spaced grid of n points has n distinct lags
+    in exact arithmetic, and a few times n after rounding (57 at 21 points).
     """
     lags, inverse = np.unique(r, return_inverse=True)
     return lags, inverse.reshape(r.shape)

@@ -32,13 +32,12 @@ import numpy as np
 from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import solve_triangular
 
-from . import _fast
 from .dynamics import OdeModel
 from .gp import GpFit, GpKernelMats, build_kernel_mats, gp_smooth_fit
 from .integrate import IntegrationError, integrate_rk45
 from .observations import ObservationSet
 from .optim import Adam
-from .sampler import NutsConfig, nuts_sample
+from .sampler import CompiledTarget, NutsConfig, nuts_sample
 
 __all__ = [
     "DiscretizationGrid",
@@ -166,16 +165,6 @@ class MagiProblem:
         self.theta_lo, self.theta_hi = lo, hi
         self.dim = m_sz * d + model.param_dim + len(self.observed)
 
-        # Flattened observation layout for the compiled fast path.
-        self.obs_rows_flat = (
-            np.concatenate(self.obs_rows) if self.obs_rows else np.empty(0, dtype=np.int64)
-        ).astype(np.int64)
-        self.obs_vals_flat = (
-            np.concatenate(self.obs_vals) if self.obs_vals else np.empty(0)
-        ).astype(float)
-        self.obs_offsets = np.concatenate([[0], np.cumsum(self.obs_counts)]).astype(np.int64)
-        self.obs_comps = np.asarray(self.observed, dtype=np.int64)
-
     # -- state packing -----------------------------------------------------
 
     def pack(self, state: MagiState) -> np.ndarray:
@@ -229,46 +218,20 @@ def make_problem(
 # ---------------------------------------------------------------------------
 
 
-def _compiled_ctx_whitened(problem: MagiProblem) -> tuple:
-    return (
-        _fast.MODEL_IDS[problem.model.name],
-        problem.mu,
-        problem.Lmat,
-        problem.Cinv,
-        problem.mmat,
-        problem.obs_rows_flat,
-        problem.obs_vals_flat,
-        problem.obs_offsets,
-        problem.obs_comps,
-        problem.theta_lo,
-        problem.theta_hi,
-        np.array([LOG_SIGMA_LO, LOG_SIGMA_HI]),
-    )
-
-
 def make_sampler_target(problem: MagiProblem):
-    """Sampler-ready whitened log density, always as a ``CompiledTarget``.
+    """Sampler-ready whitened log density, as a ``CompiledTarget``.
 
-    Its ``func`` is the numba kernel when numba is present and the model has
-    a compiled right-hand side; otherwise it is a ``(q, ctx)`` adapter over
-    the numpy reference, which ``nuts_sample`` runs on the numpy engine.
+    Its ``func`` is a ``(q, ctx)`` adapter over ``make_logdensity_whitened``.
     """
-    from .sampler import CompiledTarget
-
-    if _fast.NUMBA_OK and problem.model.name in _fast.MODEL_IDS:
-        return CompiledTarget(func=_fast.magi_value_grad_whitened,
-                              ctx=_compiled_ctx_whitened(problem))
     reference = make_logdensity_whitened(problem)
     return CompiledTarget(func=lambda q, _ctx: reference(q), ctx=None)
 
 
 def make_logdensity_whitened(problem: MagiProblem):
-    """Numpy reference for the whitened log posterior and its gradient.
+    """The whitened log posterior and its gradient, in numpy.
 
     The trajectory block of the packed argument holds q with x = mu + L q per
-    component.  The sampler runs it for every model when numba is absent,
-    and otherwise for models without a compiled right-hand side;
-    ``_fast.magi_value_grad_whitened`` is its compiled twin.
+    component.  This is the one formulation the sampler runs, for every model.
     """
     model = problem.model
     m_sz, d, p = problem.grid.size, model.state_dim, model.param_dim
@@ -818,7 +781,8 @@ def forecast_sequential(
     the previous stage's final draw, the new segment by integrating forward
     from the boundary state, and kernel hyperparameters are refit on the
     last unit interval of the previous posterior mean.  Returns the last
-    stage's posterior, which covers all of ``full_times``.
+    stage's posterior, which covers all of ``full_times``, carrying every
+    stage's flags in stage order without exact repeats.
     """
     full_times = np.asarray(full_times, dtype=float)
     if (full_times.size - n_insample) % points_per_step != 0:
@@ -831,6 +795,7 @@ def forecast_sequential(
     samples = fit_magi(model, full_times[:n_insample], observations,
                        use_fourier_prior=use_fourier_prior, n_warmup=n_warmup,
                        n_samples=n_samples, seed=stage_seeds[0], init_budget=init_budget)
+    stage_flags = list(samples.flags)
 
     for stage_seed in stage_seeds[1:]:
         prev_len = samples.grid_times.size
@@ -862,5 +827,7 @@ def forecast_sequential(
         problem = make_problem(model, grid_new, observations, fits)
         state = MagiState(x=x_init, theta=theta_last, log_sigma=log_sigma_last)
         samples = _sample_posterior(problem, state, flags, stage_seed, n_warmup, n_samples)
+        stage_flags += samples.flags
 
+    samples.flags = tuple(dict.fromkeys(stage_flags))
     return samples

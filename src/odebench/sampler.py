@@ -8,10 +8,8 @@ and rejected.
 
 Tree building is iterative (no recursion): each doubling walks 2^depth
 leapfrog leaves while a stack of block-boundary states reproduces the
-internal no-U-turn checks of the recursive formulation.  Two engines run
-the identical algorithm: a numpy reference, and a numba-compiled twin
-used automatically when the log-density is itself a compiled dispatcher
-(the hot path for the trajectory posteriors).
+internal no-U-turn checks of the recursive formulation.  There is one
+engine, plain Python over numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from ._fast import NUMBA_OK, NumbaDispatcher, njit
 
 __all__ = [
     "NutsConfig",
@@ -72,17 +68,16 @@ class ChainResult:
 
 
 # ---------------------------------------------------------------------------
-# Engine template.  _ENGINE_SOURCE is compiled twice: once as plain Python
-# (any callable target) and once under numba (compiled targets).  Writing
-# the algorithm a single time keeps the two engines from drifting apart.
+# Engine.  f is the target: f(q) -> (log density, gradient).
 # ---------------------------------------------------------------------------
 
-_ENGINE_SOURCE = r'''
 def _dual_average(count, mu, target, accept_stat, h_bar, log_eps_bar):
-    # Nesterov dual averaging of the log step size toward the target
-    # acceptance statistic (Hoffman & Gelman 2014, JMLR 15:1593, alg. 6);
-    # count is the 1-based warmup transition.  Returns the new
-    # (log_eps, log_eps_bar, h_bar).
+    """Nesterov dual averaging of the log step size toward the target
+    acceptance statistic (Hoffman & Gelman 2014, JMLR 15:1593, alg. 6).
+
+    count is the 1-based warmup transition.  Returns the new
+    (log_eps, log_eps_bar, h_bar).
+    """
     gamma = 0.05
     t0 = 10.0
     kappa = 0.75
@@ -94,23 +89,23 @@ def _dual_average(count, mu, target, accept_stat, h_bar, log_eps_bar):
     return log_eps, log_eps_bar, h_bar
 
 
-def _leapfrog(f, ctx, q, r, grad, eps):
+def _leapfrog(f, q, r, grad, eps):
     r_half = r + (0.5 * eps) * grad
     q_new = q + eps * r_half
-    logp_new, grad_new = f(q_new, ctx)
+    logp_new, grad_new = f(q_new)
     if not (math.isfinite(logp_new) and np.isfinite(grad_new).all()):
         return q_new, r_half, grad_new, -np.inf
     r_new = r_half + (0.5 * eps) * grad_new
     return q_new, r_new, grad_new, logp_new
 
 
-def _find_step_size(f, ctx, q, logp, grad, rng):
+def _find_step_size(f, q, logp, grad, rng):
     eps = 1.0
     r = rng.standard_normal(q.size)
     h0 = logp - 0.5 * float(r @ r)
     log_ratio = -np.inf
     for _ in range(60):
-        q1, r1, g1, logp1 = _leapfrog(f, ctx, q, r, grad, eps)
+        q1, r1, g1, logp1 = _leapfrog(f, q, r, grad, eps)
         if math.isfinite(logp1):
             log_ratio = (logp1 - 0.5 * float(r1 @ r1)) - h0
         else:
@@ -121,7 +116,7 @@ def _find_step_size(f, ctx, q, logp, grad, rng):
     direction = 1.0 if log_ratio > math.log(0.5) else -1.0
     for _ in range(100):
         eps *= 2.0 ** direction
-        q1, r1, g1, logp1 = _leapfrog(f, ctx, q, r, grad, eps)
+        q1, r1, g1, logp1 = _leapfrog(f, q, r, grad, eps)
         if math.isfinite(logp1):
             log_ratio = (logp1 - 0.5 * float(r1 @ r1)) - h0
         else:
@@ -131,7 +126,7 @@ def _find_step_size(f, ctx, q, logp, grad, rng):
     return eps
 
 
-def _transition(f, ctx, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
+def _transition(f, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
     dim = q.size
     r0 = rng.standard_normal(dim)
     h0 = logp - 0.5 * float(r0 @ r0)
@@ -172,7 +167,7 @@ def _transition(f, ctx, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
         sub_h = prop_h
 
         for leaf in range(1, n_leaves + 1):
-            qq, rr, gg, lp = _leapfrog(f, ctx, qq, rr, gg, direction * eps)
+            qq, rr, gg, lp = _leapfrog(f, qq, rr, gg, direction * eps)
             n_leapfrog += 1
             n_alpha += 1
             if math.isfinite(lp):
@@ -242,13 +237,13 @@ def _transition(f, ctx, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
     return prop_q, prop_logp, prop_grad, accept_stat, diverged, energy_error, n_leapfrog
 
 
-def _chain(f, ctx, q0, n_warmup, n_samples, target_accept, max_depth, rng,
+def _chain(f, q0, n_warmup, n_samples, target_accept, max_depth, rng,
            draws, accept_stats, energy_errors):
     q = q0.copy()
-    logp, grad = f(q, ctx)
+    logp, grad = f(q)
     grad = grad.copy()
 
-    eps = _find_step_size(f, ctx, q, logp, grad, rng)
+    eps = _find_step_size(f, q, logp, grad, rng)
     da_mu = math.log(10.0 * eps)
     log_eps = math.log(eps)
     log_eps_bar = 0.0
@@ -264,7 +259,7 @@ def _chain(f, ctx, q0, n_warmup, n_samples, target_accept, max_depth, rng,
     for m in range(total):
         step = math.exp(log_eps) if m < n_warmup else math.exp(log_eps_bar)
         q, logp, grad, accept_stat, diverged, energy_error, n_lf = _transition(
-            f, ctx, q, logp, grad, step, max_depth, rng, slot_q, slot_r)
+            f, q, logp, grad, step, max_depth, rng, slot_q, slot_r)
         n_leapfrog_total += n_lf
         if m < n_warmup:
             log_eps, log_eps_bar, h_bar = _dual_average(
@@ -278,39 +273,16 @@ def _chain(f, ctx, q0, n_warmup, n_samples, target_accept, max_depth, rng,
                 divergences += 1
 
     return math.exp(log_eps_bar), divergences, n_leapfrog_total
-'''
-
-# Names the engine source reads as globals; numba freezes them as constants.
-_ENGINE_GLOBALS = {"math": math, "np": np, "DIVERGENCE_THRESHOLD": DIVERGENCE_THRESHOLD}
-
-_py_ns: dict = dict(_ENGINE_GLOBALS)
-exec(compile(_ENGINE_SOURCE, "<sampler-python-engine>", "exec"), _py_ns)
-_chain_python = _py_ns["_chain"]
-_dual_average = _py_ns["_dual_average"]
-
-if NUMBA_OK:
-    # Compiled twin: the same source, with the helpers rebound to their
-    # compiled versions before the chain driver is compiled.  Functions that
-    # close over a dispatcher argument cannot be disk-cached by numba, so
-    # compilation happens once per process.
-    _nb_ns: dict = dict(_ENGINE_GLOBALS)
-    exec(compile(_ENGINE_SOURCE, "<sampler-numba-engine>", "exec"), _nb_ns)
-    _nb_ns["_dual_average"] = njit(cache=False)(_nb_ns["_dual_average"])
-    _nb_ns["_leapfrog"] = njit(cache=False)(_nb_ns["_leapfrog"])
-    _nb_ns["_find_step_size"] = njit(cache=False)(_nb_ns["_find_step_size"])
-    _nb_ns["_transition"] = njit(cache=False)(_nb_ns["_transition"])
-    _chain_numba = njit(cache=False)(_nb_ns["_chain"])
-else:  # pragma: no cover
-    _chain_numba = None
 
 
 @dataclass(frozen=True)
 class CompiledTarget:
-    """A log-density f(q, ctx) plus its per-problem data tuple.
+    """A log density func(q, ctx) plus the data tuple it reads.
 
-    When func is a numba dispatcher, nuts_sample runs the compiled chain
-    engine, and all problems sharing the same ctx array layout reuse one
-    compilation.  Any other func is allowed and runs on the numpy engine.
+    ``nuts_sample`` binds ``ctx`` once and calls ``func(q, ctx)`` for every
+    evaluation.  ``magi.make_sampler_target`` returns one, so code that wraps
+    ``func`` sees each log-density call of a chain; the benchmark's tracing
+    counts them that way.
     """
 
     func: Callable
@@ -324,26 +296,18 @@ def nuts_sample(
 ) -> ChainResult:
     """Run one NUTS chain; deterministic given (init, config.seed).
 
-    A CompiledTarget whose func is a numba dispatcher is driven by the
-    compiled engine; any other CompiledTarget, or a plain callable, uses the
-    numpy engine.  Both engines execute the same algorithm source
-    with an identical random-number stream layout, and produce identical
-    draws for identical seeds.
+    The target is a plain callable q -> (log density, gradient) or a
+    CompiledTarget; both give identical draws for identical seeds.
     """
     if isinstance(logdensity_and_grad, CompiledTarget):
-        f, ctx = logdensity_and_grad.func, logdensity_and_grad.ctx
-        engine = _chain_numba if isinstance(f, NumbaDispatcher) else _chain_python
-        probe = lambda q: f(q, ctx)  # noqa: E731
+        func, ctx = logdensity_and_grad.func, logdensity_and_grad.ctx
+        f = lambda q: func(q, ctx)  # noqa: E731
     else:
-        engine = _chain_python
-        raw = logdensity_and_grad
-        f = lambda q, _ctx: raw(q)  # noqa: E731
-        ctx = None
-        probe = raw
+        f = logdensity_and_grad
 
     q0 = np.array(init, dtype=float).ravel()
     rng = np.random.default_rng(config.seed)
-    logp0, grad0 = probe(q0)
+    logp0, grad0 = f(q0)
     grad0 = np.asarray(grad0, dtype=float)
     if not (np.isfinite(logp0) and np.all(np.isfinite(grad0))):
         raise ValueError("log density must be finite with finite gradient at init")
@@ -352,8 +316,8 @@ def nuts_sample(
     accept_stats = np.empty(config.n_samples)
     energy_errors = np.empty(config.n_samples)
 
-    step_size, divergences, n_leapfrog = engine(
-        f, ctx, q0, config.n_warmup, config.n_samples, config.target_accept,
+    step_size, divergences, n_leapfrog = _chain(
+        f, q0, config.n_warmup, config.n_samples, config.target_accept,
         config.max_tree_depth, rng, draws, accept_stats, energy_errors)
 
     return ChainResult(

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from odebench import experiments as E
+from odebench import magi
 from odebench.integrate import Trajectory
+from odebench.sampler import CompiledTarget
 
 from conftest import tiny_regime
 
@@ -335,6 +337,74 @@ def test_run_single_magi_forecast_protocols(tmp_path, make_regime):
     meta = json.loads(sidecar.read_text())
     assert meta["grid_size"] == regime.n_grid_total
     assert meta["config_hash"] == manifest["config_hash"] != ""
+
+
+def _sequential_inputs():
+    """Arguments of forecast_sequential on the shrunken regime, at 5 + 5 transitions."""
+    regime = lorenz_forecast_small()
+    dataset = E.simulate_dataset(regime, E.dataset_seed(4, regime, 0))
+    args = (regime.model(), regime.master_times(), regime.n_grid_insample,
+            regime.points_per_step, dataset)
+    kwargs = dict(use_fourier_prior=regime.fourier_prior, n_warmup=5, n_samples=5, seed=4,
+                  init_budget=50)
+    return regime, args, kwargs
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_forecast_sequential_keeps_earlier_stage_flags(monkeypatch):
+    _, args, kwargs = _sequential_inputs()
+    original = magi._continue_past
+    calls = []
+
+    def fail_in_stage_1(model, x_head, theta, times):
+        calls.append(times.size)
+        if len(calls) > 1:
+            return original(model, x_head, theta, times)
+        x = np.empty((times.size, model.state_dim))
+        x[: x_head.shape[0]] = x_head
+        x[x_head.shape[0]:] = x_head[-1]
+        return x, False
+
+    monkeypatch.setattr(magi, "_continue_past", fail_in_stage_1)
+    post = magi.forecast_sequential(*args, **kwargs)
+    assert calls == [31, 41]  # stages 1 and 2 grow the 21-point grid by 10 each
+    assert "forecast-warmstart-constant" in post.flags
+    assert len(set(post.flags)) == len(post.flags)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_rebound_nuts_sample_sees_every_chain(monkeypatch):
+    """Rebinding ``magi.nuts_sample`` and wrapping ``CompiledTarget.func``
+    counts every log-density call of every chain and leaves the draws as
+    they are."""
+    regime, args, kwargs = _sequential_inputs()
+    insample = (args[0], regime.insample_times(), args[-1])
+    plain_fit = magi.fit_magi(*insample, **kwargs)
+    plain_seq = magi.forecast_sequential(*args, **kwargs)
+
+    original = magi.nuts_sample
+    counts = []
+
+    def counting_nuts(target, init, config):
+        counts.append(0)
+        inner = target.func
+
+        def counted(q, ctx):
+            counts[-1] += 1
+            return inner(q, ctx)
+
+        return original(CompiledTarget(func=counted, ctx=target.ctx), init, config)
+
+    monkeypatch.setattr(magi, "nuts_sample", counting_nuts)
+    traced_fit = magi.fit_magi(*insample, **kwargs)
+    assert len(counts) == 1
+    traced_seq = magi.forecast_sequential(*args, **kwargs)
+    n_steps = (regime.n_grid_total - regime.n_grid_insample) // regime.points_per_step
+    assert len(counts) == 1 + 1 + n_steps
+    assert all(c > 0 for c in counts)
+    assert np.array_equal(traced_fit.draws, plain_fit.draws)
+    assert np.array_equal(traced_seq.draws, plain_seq.draws)
+    assert traced_seq.flags == plain_seq.flags
 
 
 def test_run_study_pool_matches_serial(tmp_path):
