@@ -8,7 +8,9 @@ Dataset simulation is a pure function of (regime, seed).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -429,7 +431,9 @@ def run_single(
 
     Returns (result rows, run manifest).  Rows follow RESULT_COLUMNS; wall
     time lives only in the manifest so result CSVs stay byte-identical
-    across reruns.
+    across reruns.  run_study sets the BLAS thread count (one) around its
+    calls; this function, which may run in a forked pool worker, leaves it
+    alone.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -560,6 +564,54 @@ def _safe_run(args) -> tuple[list[tuple], dict]:
         return rows, {"config_hash": "", "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS this process has loaded.
+
+    numpy and scipy each bundle their own OpenBLAS (exporting
+    ``scipy_openblas_{get,set}_num_threads`` with an ILP64 ``64_`` suffix in
+    numpy's); a system build exports plain ``openblas_*``.  Empty where
+    /proc/self/maps cannot be read or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore.
+
+    Results then do not depend on how many threads OpenBLAS would start, and
+    pool workers forked inside the body inherit the setting.  Workers must
+    not call the setter themselves: in a forked child it starts OpenBLAS's
+    server threads, which spin.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
 @dataclass
 class StudyResult:
     rows: list[tuple]
@@ -584,7 +636,8 @@ def run_study(
     Resumable: finished (regime, method, lambda, replicate) combinations are
     skipped when their config hash matches the manifest from the earlier
     run.  Individual failures are recorded with an error flag and the study
-    continues.
+    continues.  Replicates, serial or pooled, run on one BLAS thread, so the
+    results do not depend on parallelism or on the core count.
     """
     rows_out: list[tuple] = []
     manifest_path = results_path = None
@@ -622,14 +675,17 @@ def run_study(
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
 
-    if parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = pool.map(_safe_run, [args for _, args in jobs])
-            for (key, args), outcome in zip(jobs, outcomes):
-                handle(key, outcome)
-    else:
-        for key, args in jobs:
-            handle(key, _safe_run(args))
+    with _one_blas_thread():
+        if parallelism > 1 and len(jobs) > 1:
+            # Under fork the executor starts all max_workers processes at the
+            # first submit, so more workers than jobs would only sit idle.
+            with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
+                outcomes = pool.map(_safe_run, [args for _, args in jobs])
+                for (key, args), outcome in zip(jobs, outcomes):
+                    handle(key, outcome)
+        else:
+            for key, args in jobs:
+                handle(key, _safe_run(args))
 
     failed = sum(1 for row in rows_out if row[6] == "error")
     return StudyResult(rows=rows_out, attempted=len(jobs), failed=failed, skipped=skipped)

@@ -181,13 +181,6 @@ class GpKernelMats:
     chol_C: tuple = field(repr=False, default=None)
     k_jitter: float = 0.0
 
-    def quad_form_Kinv(self, v: np.ndarray) -> float:
-        """v^T K^{-1} v via triangular solves on the stored factor."""
-        return float(v @ cho_solve(self.chol_K, v))
-
-    def quad_form_Cinv(self, v: np.ndarray) -> float:
-        return float(v @ cho_solve(self.chol_C, v))
-
     def Cinv(self) -> np.ndarray:
         eye = np.eye(self.grid.size)
         return cho_solve(self.chol_C, eye)

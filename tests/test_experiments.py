@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -416,3 +417,92 @@ def test_run_study_pool_matches_serial(tmp_path):
         assert res.attempted == 2 and res.failed == 0
     serial = (tmp_path / "jobs1" / "results.csv").read_bytes()
     assert (tmp_path / "jobs2" / "results.csv").read_bytes() == serial
+
+
+def _blas_threads():
+    return [get() for get, _ in E._openblas_thread_controls()]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_study_runs_replicates_on_one_blas_thread(tmp_path, monkeypatch, jobs):
+    """Every replicate reads one thread from each OpenBLAS; a pooled worker
+    that inherits the pin starts no BLAS server threads of its own."""
+    run_single = E.run_single
+
+    def recording_run_single(*args):
+        rows, manifest = run_single(*args)
+        manifest["blas_threads"] = _blas_threads()
+        if os.path.isdir("/proc/self/task"):
+            manifest["os_threads"] = len(os.listdir("/proc/self/task"))
+        return rows, manifest
+
+    monkeypatch.setattr(E, "run_single", recording_run_single)
+    n_libs = len(_blas_threads())
+    res = E.run_study(tiny_regime(name="tiny-blas"), [("magi", FORECAST_MAGI)], replicates=2,
+                      base_seed=3, parallelism=jobs, out_dir=str(tmp_path))
+    assert res.attempted == 2 and res.failed == 0
+    runs = json.loads((tmp_path / "manifest.json").read_text()).values()
+    assert [run["blas_threads"] for run in runs] == [[1] * n_libs] * 2
+    if jobs > 1 and os.path.isdir("/proc/self/task"):
+        assert [run["os_threads"] for run in runs] == [1, 1]
+
+
+def test_run_study_restores_the_callers_blas_threads(monkeypatch):
+    controls = E._openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    seen = []
+
+    def fake_run_single(*args):
+        seen.append(_blas_threads())
+        return [], {"config_hash": ""}
+
+    def interrupted_run_single(*args):
+        raise KeyboardInterrupt
+
+    regime = tiny_regime(name="tiny-restore")
+    try:
+        for _, set_ in controls:
+            set_(2)
+        monkeypatch.setattr(E, "run_single", fake_run_single)
+        E.run_study(regime, [("magi", FORECAST_MAGI)], replicates=1, base_seed=3)
+        assert seen == [[1] * len(controls)]
+        assert _blas_threads() == [2] * len(controls)
+
+        monkeypatch.setattr(E, "run_single", interrupted_run_single)
+        with pytest.raises(KeyboardInterrupt):
+            E.run_study(regime, [("magi", FORECAST_MAGI)], replicates=1, base_seed=3)
+        assert _blas_threads() == [2] * len(controls)
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
+def test_run_study_runs_where_no_openblas_is_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(E, "_openblas_thread_controls", lambda: [])
+    res = E.run_study(tiny_regime(name="tiny-noblas"), [("magi", FORECAST_MAGI)], replicates=1,
+                      base_seed=3, out_dir=str(tmp_path))
+    assert res.attempted == 1 and res.failed == 0
+
+
+def test_run_study_pool_has_no_more_workers_than_jobs(monkeypatch):
+    """A fork pool starts all its workers at once; extra ones would sit idle."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(E, "ProcessPoolExecutor", SerialPool)
+    res = E.run_study(tiny_regime(name="tiny-cap"), [("magi", FORECAST_MAGI)], replicates=2,
+                      base_seed=3, parallelism=8)
+    assert res.attempted == 2 and res.failed == 0
+    assert pools == [2]

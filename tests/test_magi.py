@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from odebench import gp, integrate, magi
 from odebench.dynamics import OdeModel, get_model
@@ -69,7 +70,7 @@ def test_whitened_value_equals_plain_value(seir_small):
     gp_term = mech_term = 0.0
     for c, km in enumerate(problem.kernels):
         xc = x[:, c] - km.hyper.mean
-        gp_term += km.quad_form_Kinv(xc)
+        gp_term += float(xc @ cho_solve(km.chol_K, xc))
         resid = fvals[:, c] - km.m @ xc
         mech_term += float(resid @ km.Cinv() @ resid)
 
@@ -180,7 +181,8 @@ def test_huge_sigma_leaves_mech_term_in_charge(seir_small):
         st.theta = state.theta.copy()
         st.theta[0] = beta
         xc = (st.x - problem.mu).T
-        gp_term = sum(km.quad_form_Kinv(xc[c]) for c, km in enumerate(problem.kernels))
+        gp_term = sum(float(xc[c] @ cho_solve(km.chol_K, xc[c]))
+                      for c, km in enumerate(problem.kernels))
         fvals = problem.model.rhs(st.x, st.theta, problem.grid.times)
         gdot = np.matmul(problem.mmat, xc[:, :, None])[:, :, 0]
         resid = fvals.T - gdot
