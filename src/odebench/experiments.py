@@ -304,19 +304,10 @@ def regime_truth_qoi(regime: RegimeSpec) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _rows_at(times: np.ndarray, eval_times: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(times, eval_times)
-    ok = (idx < times.size) & (times[np.minimum(idx, times.size - 1)] == eval_times)
-    if not np.all(ok):
-        raise ValueError("evaluation times must be exact members of the trajectory grid")
-    return idx
-
-
 def compute_rmse(estimate: Trajectory, truth: Trajectory, eval_times: np.ndarray) -> np.ndarray:
     """Per-component RMSE over eval_times (exact grid membership required)."""
-    eval_times = np.asarray(eval_times, dtype=float)
-    est = estimate.values[_rows_at(estimate.times, eval_times)]
-    tru = truth.values[_rows_at(truth.times, eval_times)]
+    est = estimate.values[DiscretizationGrid.build(estimate.times, eval_times).obs_index]
+    tru = truth.values[DiscretizationGrid.build(truth.times, eval_times).obs_index]
     if est.shape != tru.shape:
         raise ValueError("estimate and truth disagree in dimension")
     return np.sqrt(np.mean((est - tru) ** 2, axis=0))

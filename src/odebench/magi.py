@@ -87,14 +87,14 @@ class DiscretizationGrid:
 
     @classmethod
     def build(cls, times: np.ndarray, obs_times: np.ndarray) -> "DiscretizationGrid":
-        """Locate each observation time in the grid, requiring exact membership."""
+        """Locate each of obs_times in the grid, requiring exact membership."""
         times = np.asarray(times, dtype=float)
         obs_times = np.asarray(obs_times, dtype=float)
         idx = np.searchsorted(times, obs_times)
         ok = (idx < times.size) & (times[np.minimum(idx, times.size - 1)] == obs_times)
         if not np.all(ok):
             bad = obs_times[~ok]
-            raise ValueError(f"observation times not exact members of the grid: {bad[:3]}")
+            raise ValueError(f"times not exact members of the grid: {bad[:3]}")
         return cls(times=times, obs_index=idx)
 
     @property

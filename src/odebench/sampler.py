@@ -1,15 +1,19 @@
-"""No-U-Turn sampler with dual-averaging step-size adaptation.
+"""No-U-turn sampler with dual-averaging step-size adaptation.
 
 Multinomial trajectory sampling over iteratively doubled leapfrog
 trajectories, a unit mass matrix, and step-size adaptation only during
-warmup.  The target is a single callable returning (log density,
-gradient); non-finite evaluations mid-chain are treated as divergences
-and rejected.
+warmup.  The target is a single callable q -> (log density, gradient) that
+returns a fresh gradient array on every call; the engine keeps the arrays it
+is given and never writes into them.  Non-finite evaluations mid-chain are
+treated as divergences and rejected.
 
 Tree building is iterative (no recursion): each doubling walks 2^depth
-leapfrog leaves while a stack of block-boundary states reproduces the
-internal no-U-turn checks of the recursive formulation.  There is one
-engine, plain Python over numpy arrays.
+leapfrog leaves while the states that opened each block still open
+reproduce the internal no-U-turn checks of the recursive formulation.
+There is one engine, plain Python over numpy arrays.  The kinetic energy is
+computed only in ``_energy`` and the U-turn test only in ``_turned``, so a
+mass matrix other than the unit one enters in those two functions (and in
+the momentum draws).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class ChainResult:
     accept_stats: np.ndarray  # mean tree acceptance statistic per kept transition
     energy_errors: np.ndarray  # |H0 - H_accepted| per kept transition
     n_transitions: int
-    n_leapfrog: int = 0
+    n_leapfrog: int = 0  # leapfrog steps of all transitions; the step-size probe's not counted
 
     @property
     def mean_accept(self) -> float:
@@ -99,180 +103,113 @@ def _leapfrog(f, q, r, grad, eps):
     return q_new, r_new, grad_new, logp_new
 
 
+def _energy(logp, r):
+    """Negative Hamiltonian log p(q) - r·r/2; -inf where log p is not finite."""
+    if not math.isfinite(logp):
+        return -np.inf
+    return logp - 0.5 * float(r @ r)
+
+
+def _turned(q_left, q_right, r_left, r_right):
+    """No-U-turn criterion on a span's two ends, given in time order."""
+    dq = q_right - q_left
+    return np.dot(dq, r_left) < 0.0 or np.dot(dq, r_right) < 0.0
+
+
 def _find_step_size(f, q, logp, grad, rng):
-    eps = 1.0
+    """First step size: halve 1.0 until one leapfrog gives a finite energy,
+    then double or halve until the acceptance ratio crosses 1/2."""
     r = rng.standard_normal(q.size)
-    h0 = logp - 0.5 * float(r @ r)
-    log_ratio = -np.inf
-    for _ in range(60):
-        q1, r1, g1, logp1 = _leapfrog(f, q, r, grad, eps)
-        if math.isfinite(logp1):
-            log_ratio = (logp1 - 0.5 * float(r1 @ r1)) - h0
-        else:
-            log_ratio = -np.inf
-        if math.isfinite(log_ratio):
-            break
-        eps *= 0.5
-    direction = 1.0 if log_ratio > math.log(0.5) else -1.0
-    for _ in range(100):
-        eps *= 2.0 ** direction
-        q1, r1, g1, logp1 = _leapfrog(f, q, r, grad, eps)
-        if math.isfinite(logp1):
-            log_ratio = (logp1 - 0.5 * float(r1 @ r1)) - h0
-        else:
-            log_ratio = -np.inf
-        if direction * log_ratio <= -direction * math.log(2.0):
-            break
+    h0 = _energy(logp, r)
+
+    def log_ratio(eps):
+        _, r1, _, logp1 = _leapfrog(f, q, r, grad, eps)
+        return _energy(logp1, r1) - h0
+
+    eps = 1.0
+    # A step far too long can overflow r·r.  The energy is then -inf and the
+    # step halves, which is the intended outcome, so the warning says nothing.
+    with np.errstate(over="ignore"):
+        for _ in range(60):
+            ratio = log_ratio(eps)
+            if math.isfinite(ratio):
+                break
+            eps *= 0.5
+        direction = 1.0 if ratio > math.log(0.5) else -1.0
+        for _ in range(100):
+            eps *= 2.0 ** direction
+            ratio = log_ratio(eps)
+            if direction * ratio <= -direction * math.log(2.0):
+                break
     return eps
 
 
-def _transition(f, q, logp, grad, eps, max_depth, rng, slot_q, slot_r):
-    dim = q.size
-    r0 = rng.standard_normal(dim)
-    h0 = logp - 0.5 * float(r0 @ r0)
+def _transition(f, q, logp, grad, eps, max_depth, rng):
+    """One NUTS transition from (q, logp, grad) at step size eps.
 
-    q_minus = q.copy()
-    q_plus = q.copy()
-    r_minus = r0.copy()
-    r_plus = r0.copy()
-    grad_minus = grad.copy()
-    grad_plus = grad.copy()
-    logp_minus = logp
-    logp_plus = logp
-
-    prop_q = q.copy()
-    prop_grad = grad.copy()
-    prop_logp = logp
-    prop_h = h0
-
+    Returns the next state's (q, logp, grad), the mean acceptance statistic
+    over the leaves, whether a leaf diverged, |H0 - H| of the next state and
+    the number of leapfrog steps.
+    """
+    r0 = rng.standard_normal(q.size)
+    h0 = _energy(logp, r0)
+    left = right = (q, r0, grad, logp)  # the trajectory's ends, in time order
+    prop = (q, logp, grad, h0)  # the state the transition takes so far
     log_weight = 0.0
     alpha_sum = 0.0
-    n_alpha = 0
-    diverged = False
     n_leapfrog = 0
+    diverged = turned = False
 
     for depth in range(max_depth):
-        direction = 1.0 if rng.random() < 0.5 else -1.0
-        if direction > 0.0:
-            qq, rr, gg, lp = q_plus, r_plus, grad_plus, logp_plus
-        else:
-            qq, rr, gg, lp = q_minus, r_minus, grad_minus, logp_minus
-
-        n_leaves = 1 << depth
-        sub_ok = True
-        sub_logw = -np.inf
-        sub_q = prop_q
-        sub_grad = prop_grad
-        sub_logp = prop_logp
-        sub_h = prop_h
-
-        for leaf in range(1, n_leaves + 1):
-            qq, rr, gg, lp = _leapfrog(f, qq, rr, gg, direction * eps)
+        forward = rng.random() < 0.5
+        step = eps if forward else -eps
+        qq, rr, gg, lp = right if forward else left
+        starts = [None] * (depth + 1)  # (q, r) of the first leaf of each level's block
+        for leaf in range(1, (1 << depth) + 1):
+            qq, rr, gg, lp = _leapfrog(f, qq, rr, gg, step)
             n_leapfrog += 1
-            n_alpha += 1
-            if math.isfinite(lp):
-                h = lp - 0.5 * float(rr @ rr)
-            else:
-                h = -np.inf
-            if math.isfinite(h):
-                delta = h - h0
-                alpha_sum += math.exp(delta) if delta < 0.0 else 1.0
-                div = (h0 - h) > DIVERGENCE_THRESHOLD
-            else:
-                div = True
-            if div:
-                diverged = True
-                sub_ok = False
+            h = _energy(lp, rr)
+            if not h0 - h <= DIVERGENCE_THRESHOLD:  # also when h is -inf
+                diverged = True  # counted in the mean acceptance; its exp(h - h0) is 0.0
                 break
-
-            lw = h - h0
+            delta = h - h0
+            alpha_sum += math.exp(delta) if delta < 0.0 else 1.0
             if leaf == 1:
-                sub_q, sub_grad, sub_logp, sub_h = qq, gg, lp, h
-                sub_logw = lw
+                sub, sub_logw = (qq, lp, gg, h), delta
             else:
-                total = np.logaddexp(sub_logw, lw)
-                if math.log(rng.random()) < lw - total:
-                    sub_q, sub_grad, sub_logp, sub_h = qq, gg, lp, h
+                total = np.logaddexp(sub_logw, delta)
+                if math.log(rng.random()) < delta - total:
+                    sub = (qq, lp, gg, h)
                 sub_logw = total
 
-            if (leaf - 1) % 2 == 0:
-                # Odd 1-indexed position: left boundary of the blocks it opens.
-                lvl = 1
+            lvl = 1
+            if leaf % 2:  # opens a block of 2^lvl leaves at each level it starts
                 while lvl <= depth and (leaf - 1) % (1 << lvl) == 0:
-                    slot_q[lvl] = qq
-                    slot_r[lvl] = rr
+                    starts[lvl] = (qq, rr)
                     lvl += 1
-            else:
-                lvl = 1
-                while lvl <= depth and leaf % (1 << lvl) == 0:
-                    dq = direction * (qq - slot_q[lvl])
-                    if np.dot(dq, slot_r[lvl]) < 0.0 or np.dot(dq, rr) < 0.0:
-                        sub_ok = False
-                        break
+            else:  # closes the blocks it ends; each must not have turned
+                while not turned and lvl <= depth and leaf % (1 << lvl) == 0:
+                    q_start, r_start = starts[lvl]
+                    turned = (_turned(q_start, qq, r_start, rr) if forward
+                              else _turned(qq, q_start, rr, r_start))
                     lvl += 1
-                if not sub_ok:
+                if turned:
                     break
-
-        if not sub_ok:
+        if diverged or turned:
             break
 
         if math.log(rng.random()) < sub_logw - log_weight:
-            prop_q, prop_grad, prop_logp, prop_h = sub_q, sub_grad, sub_logp, sub_h
+            prop = sub
         log_weight = np.logaddexp(log_weight, sub_logw)
-
-        if direction > 0.0:
-            q_plus, r_plus, grad_plus, logp_plus = qq, rr, gg, lp
+        if forward:
+            right = (qq, rr, gg, lp)
         else:
-            q_minus, r_minus, grad_minus, logp_minus = qq, rr, gg, lp
-
-        dq = q_plus - q_minus
-        if np.dot(dq, r_minus) < 0.0 or np.dot(dq, r_plus) < 0.0:
+            left = (qq, rr, gg, lp)
+        if _turned(left[0], right[0], left[1], right[1]):
             break
 
-    accept_stat = alpha_sum / max(1, n_alpha)
-    if math.isfinite(prop_h):
-        energy_error = abs(h0 - prop_h)
-    else:
-        energy_error = np.inf
-    return prop_q, prop_logp, prop_grad, accept_stat, diverged, energy_error, n_leapfrog
-
-
-def _chain(f, q0, n_warmup, n_samples, target_accept, max_depth, rng,
-           draws, accept_stats, energy_errors):
-    q = q0.copy()
-    logp, grad = f(q)
-    grad = grad.copy()
-
-    eps = _find_step_size(f, q, logp, grad, rng)
-    da_mu = math.log(10.0 * eps)
-    log_eps = math.log(eps)
-    log_eps_bar = 0.0
-    h_bar = 0.0
-
-    slot_q = np.empty((max_depth + 1, q.size))
-    slot_r = np.empty((max_depth + 1, q.size))
-
-    divergences = 0
-    total = n_warmup + n_samples
-    n_leapfrog_total = 0
-
-    for m in range(total):
-        step = math.exp(log_eps) if m < n_warmup else math.exp(log_eps_bar)
-        q, logp, grad, accept_stat, diverged, energy_error, n_lf = _transition(
-            f, q, logp, grad, step, max_depth, rng, slot_q, slot_r)
-        n_leapfrog_total += n_lf
-        if m < n_warmup:
-            log_eps, log_eps_bar, h_bar = _dual_average(
-                m + 1, da_mu, target_accept, accept_stat, h_bar, log_eps_bar)
-        else:
-            i = m - n_warmup
-            draws[i] = q
-            accept_stats[i] = accept_stat
-            energy_errors[i] = energy_error
-            if diverged:
-                divergences += 1
-
-    return math.exp(log_eps_bar), divergences, n_leapfrog_total
+    q, logp, grad, h = prop
+    return q, logp, grad, alpha_sum / n_leapfrog, diverged, abs(h0 - h), n_leapfrog
 
 
 @dataclass(frozen=True)
@@ -297,7 +234,9 @@ def nuts_sample(
     """Run one NUTS chain; deterministic given (init, config.seed).
 
     The target is a plain callable q -> (log density, gradient) or a
-    CompiledTarget; both give identical draws for identical seeds.
+    CompiledTarget; both give identical draws for identical seeds.  It must
+    return a fresh gradient array on every call: the engine keeps the arrays
+    it is given without copying them.
     """
     if isinstance(logdensity_and_grad, CompiledTarget):
         func, ctx = logdensity_and_grad.func, logdensity_and_grad.ctx
@@ -305,28 +244,46 @@ def nuts_sample(
     else:
         f = logdensity_and_grad
 
-    q0 = np.array(init, dtype=float).ravel()
-    rng = np.random.default_rng(config.seed)
-    logp0, grad0 = f(q0)
-    grad0 = np.asarray(grad0, dtype=float)
-    if not (np.isfinite(logp0) and np.all(np.isfinite(grad0))):
+    q = np.array(init, dtype=float).ravel()
+    logp, grad = f(q)
+    if not (np.isfinite(logp) and np.isfinite(grad).all()):
         raise ValueError("log density must be finite with finite gradient at init")
 
-    draws = np.empty((config.n_samples, q0.size))
-    accept_stats = np.empty(config.n_samples)
-    energy_errors = np.empty(config.n_samples)
+    rng = np.random.default_rng(config.seed)
+    eps = _find_step_size(f, q, logp, grad, rng)
+    da_mu = math.log(10.0 * eps)
+    log_eps = math.log(eps)
+    log_eps_bar = 0.0
+    h_bar = 0.0
 
-    step_size, divergences, n_leapfrog = _chain(
-        f, q0, config.n_warmup, config.n_samples, config.target_accept,
-        config.max_tree_depth, rng, draws, accept_stats, energy_errors)
+    n_warmup, n_samples = config.n_warmup, config.n_samples
+    draws = np.empty((n_samples, q.size))
+    accept_stats = np.empty(n_samples)
+    energy_errors = np.empty(n_samples)
+    divergences = 0
+    n_leapfrog = 0
+    for m in range(n_warmup + n_samples):
+        step = math.exp(log_eps) if m < n_warmup else math.exp(log_eps_bar)
+        q, logp, grad, accept_stat, diverged, energy_error, n_lf = _transition(
+            f, q, logp, grad, step, config.max_tree_depth, rng)
+        n_leapfrog += n_lf
+        if m < n_warmup:
+            log_eps, log_eps_bar, h_bar = _dual_average(
+                m + 1, da_mu, config.target_accept, accept_stat, h_bar, log_eps_bar)
+        else:
+            i = m - n_warmup
+            draws[i] = q
+            accept_stats[i] = accept_stat
+            energy_errors[i] = energy_error
+            divergences += diverged
 
     return ChainResult(
         draws=draws,
-        step_size=step_size,
+        step_size=math.exp(log_eps_bar),
         divergence_count=divergences,
         accept_stats=accept_stats,
         energy_errors=energy_errors,
-        n_transitions=config.n_warmup + config.n_samples,
+        n_transitions=n_warmup + n_samples,
         n_leapfrog=n_leapfrog,
     )
 

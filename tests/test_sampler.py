@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_leapfrog_budget_respected():
     for depth in (3, 5):
         cfg = NutsConfig(n_warmup=100, n_samples=100, seed=2, max_tree_depth=depth)
         res = nuts_sample(std_normal, np.zeros(4), cfg)
-        assert res.n_leapfrog <= res.n_transitions * (2 ** depth - 1) + 200  # +initial search
+        assert res.n_leapfrog <= res.n_transitions * (2 ** depth - 1)
 
 
 def test_two_dim_gaussian_ks_marginals():
@@ -148,6 +149,35 @@ def test_midchain_nonfinite_treated_as_divergence():
     res = nuts_sample(walled, np.zeros(1), cfg)
     assert np.all(np.isfinite(res.draws))
     assert np.all(np.abs(res.draws) <= 2.0)
+    # Values recorded from an earlier commit's engine: the divergent path.
+    assert res.n_leapfrog == 1926
+    assert res.divergence_count == 62
+    assert res.step_size == 0.9826919984736037
+    assert res.draws[0, 0] == -0.21744459382324766
+    assert res.draws[-1, 0] == 1.6471166462508824
+
+
+def test_target_evaluated_once_at_init():
+    points = []
+
+    def recorded(q):
+        points.append(q.copy())
+        return std_normal(q)
+
+    nuts_sample(recorded, np.full(2, 0.5), NutsConfig(n_warmup=5, n_samples=5, seed=0))
+    assert np.array_equal(points[0], np.full(2, 0.5))
+    assert not np.array_equal(points[1], points[0])
+
+
+def test_step_size_probe_on_a_stiff_target_does_not_warn():
+    # The first probe step at 1.0 overflows r·r; the probe halves silently.
+    def stiff(q):
+        return -0.5e80 * float(q @ q), -1e80 * q
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = nuts_sample(stiff, np.array([1.0]), NutsConfig(20, 20, seed=0))
+    assert res.step_size == 2.3916781047259463e-40
 
 
 def test_config_validation():
