@@ -189,7 +189,7 @@ LORENZ_FORECAST = _register(RegimeSpec(
 
 
 def builtin_regimes() -> list[RegimeSpec]:
-    return [SEIR_FULL, SEIR_MISSING_E, LORENZ_CHAOTIC, LORENZ_STABLE, LORENZ_FORECAST]
+    return list(_REGIMES.values())
 
 
 def get_regime(name: str, replicates: int | None = None) -> RegimeSpec:

@@ -248,7 +248,6 @@ class GpFit:
     hyper: MaternHyper
     noise_sd: float
     flag: str | None = None
-    fourier_prior: bool = False
     half_period: float | None = None
 
 
@@ -386,8 +385,7 @@ def gp_smooth_fit(
     sd = float(np.std(y))
     if sd == 0.0:
         hyper = MaternHyper(amplitude=1e-8, lengthscale=max(span / 2.0, spacing), mean=float(y[0]))
-        return GpFit(hyper=hyper, noise_sd=1e-8, flag="degenerate-flat-data",
-                     fourier_prior=use_fourier_prior)
+        return GpFit(hyper=hyper, noise_sd=1e-8, flag="degenerate-flat-data")
 
     half_period = dominant_half_period(t, y) if use_fourier_prior else None
 
@@ -413,6 +411,5 @@ def gp_smooth_fit(
     return GpFit(
         hyper=MaternHyper(amplitude=amp, lengthscale=ell, mean=mu),
         noise_sd=nsd,
-        fourier_prior=use_fourier_prior,
         half_period=half_period,
     )

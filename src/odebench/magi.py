@@ -13,7 +13,8 @@ Sampling is delegated to the NUTS chain in :mod:`odebench.sampler`.  The
 three protocols share one path: ``_insample_setup`` builds the in-sample
 grid, the gradient-matching initializer and the GP fits; ``run_inference``
 starts a chain from an initializer and ``_sample_posterior`` runs NUTS and
-summarizes the draws.  ``fit_magi`` is the in-sample protocol.
+wraps the draws in ``PosteriorSamples``, which derives every summary from
+them.  ``fit_magi`` is the in-sample protocol.
 ``forecast_extended_grid`` (epidemic testbed) extends the grid past the
 data; ``forecast_sequential`` (chaotic testbed) starts with ``fit_magi`` and
 then grows the horizon stage by stage from the last draw.  Both forecasts
@@ -26,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
@@ -337,7 +339,7 @@ def gp_gradient_estimate(problem: MagiProblem, x: np.ndarray) -> np.ndarray:
 class InitResult:
     x: np.ndarray  # M x D
     theta: np.ndarray  # P
-    flag: str | None = None
+    flags: tuple[str, ...] = ()
 
 
 def _interp_and_smooth(obs_t: np.ndarray, obs_y: np.ndarray, grid_t: np.ndarray) -> np.ndarray:
@@ -457,7 +459,7 @@ def init_missing_components(
         x = x0.copy()
         for c in missing:
             x[:, c] = fallback_level
-        return InitResult(x=x, theta=np.ones(p), flag="init-fallback-constant")
+        return InitResult(x=x, theta=np.ones(p), flags=("init-fallback-constant",))
 
     u_theta = blocks[-1]
     theta = np.where(pos, np.exp(u_theta), u_theta)
@@ -465,7 +467,7 @@ def init_missing_components(
     x = x0.copy()
     if missing:
         x[:, missing] = blocks[0]
-    return InitResult(x=x, theta=theta, flag=None)
+    return InitResult(x=x, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +475,24 @@ def init_missing_components(
 # ---------------------------------------------------------------------------
 
 
+def _interval95(draws: np.ndarray) -> np.ndarray:
+    """Equal-tailed 95% interval over the draw axis; the last axis is (lo, hi)."""
+    return np.moveaxis(np.quantile(draws, (0.025, 0.975), axis=0), 0, -1)
+
+
 @dataclass
 class PosteriorSamples:
-    """Post-warmup draws over the packed state plus ready-made summaries."""
+    """Post-warmup draws over the packed state and the run that made them.
+
+    Every summary (posterior means, 95% intervals) is derived from the draws
+    on first use, through ``x_draws``, ``theta_draws`` and ``log_sigma_draws``.
+    """
 
     grid_times: np.ndarray
     component_names: tuple[str, ...]
     param_names: tuple[str, ...]
     sigma_components: tuple[str, ...]
     draws: np.ndarray  # n_samples x dim
-    x_mean: np.ndarray  # M x D
-    theta_mean: np.ndarray
-    theta_ci: np.ndarray  # P x 2 equal-tailed 95%
-    sigma_mean: np.ndarray
     seed: int
     config_hash: str = ""
     flags: tuple[str, ...] = ()
@@ -510,6 +517,22 @@ class PosteriorSamples:
         m, d = self.grid_times.size, len(self.component_names)
         return self.draws[:, m * d + len(self.param_names) :]
 
+    @cached_property
+    def x_mean(self) -> np.ndarray:  # M x D
+        return self.x_draws().mean(axis=0)
+
+    @cached_property
+    def theta_mean(self) -> np.ndarray:
+        return self.theta_draws().mean(axis=0)
+
+    @cached_property
+    def theta_ci(self) -> np.ndarray:  # P x 2 equal-tailed 95%
+        return _interval95(self.theta_draws())
+
+    @cached_property
+    def sigma_mean(self) -> np.ndarray:
+        return np.exp(self.log_sigma_draws()).mean(axis=0)
+
     def save(self, prefix: str) -> None:
         """Write draws as flat doubles plus a JSON sidecar and summary CSV."""
         self.draws.astype(np.float64).tofile(f"{prefix}.bin")
@@ -531,83 +554,37 @@ class PosteriorSamples:
         }
         with open(f"{prefix}.json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
+        x_ci = _interval95(self.x_draws())
+        sigma_ci = _interval95(np.exp(self.log_sigma_draws()))
+        rows = [("x", name, f"{t:.17g}", self.x_mean[i, c], x_ci[i, c])
+                for i, t in enumerate(self.grid_times)
+                for c, name in enumerate(self.component_names)]
+        rows += [("theta", name, "", self.theta_mean[j], self.theta_ci[j])
+                 for j, name in enumerate(self.param_names)]
+        rows += [("sigma", name, "", self.sigma_mean[j], sigma_ci[j])
+                 for j, name in enumerate(self.sigma_components)]
         with open(f"{prefix}_summary.csv", "w") as fh:
             fh.write("kind,name,time,mean,q025,q975\n")
-            x_draws = self.x_draws()
-            lo = np.quantile(x_draws, 0.025, axis=0)
-            hi = np.quantile(x_draws, 0.975, axis=0)
-            for i, t in enumerate(self.grid_times):
-                for c, name in enumerate(self.component_names):
-                    fh.write(
-                        f"x,{name},{t:.17g},{self.x_mean[i, c]:.17g},"
-                        f"{lo[i, c]:.17g},{hi[i, c]:.17g}\n"
-                    )
-            for j, name in enumerate(self.param_names):
-                fh.write(
-                    f"theta,{name},,{self.theta_mean[j]:.17g},"
-                    f"{self.theta_ci[j, 0]:.17g},{self.theta_ci[j, 1]:.17g}\n"
-                )
-            sig_draws = np.exp(self.log_sigma_draws())
-            for j, name in enumerate(self.sigma_components):
-                fh.write(
-                    f"sigma,{name},,{self.sigma_mean[j]:.17g},"
-                    f"{np.quantile(sig_draws[:, j], 0.025):.17g},"
-                    f"{np.quantile(sig_draws[:, j], 0.975):.17g}\n"
-                )
+            for kind, name, time, mean, (lo, hi) in rows:
+                fh.write(f"{kind},{name},{time},{mean:.17g},{lo:.17g},{hi:.17g}\n")
 
     @classmethod
     def load(cls, prefix: str) -> "PosteriorSamples":
         with open(f"{prefix}.json") as fh:
             meta = json.load(fh)
-        draws = np.fromfile(f"{prefix}.bin", dtype=np.float64).reshape(
-            meta["n_samples"], meta["dim"])
-        grid_times = np.asarray(meta["grid_times"])
-        post = _summarize(
-            draws,
-            grid_times,
-            tuple(meta["component_names"]),
-            tuple(meta["param_names"]),
-            tuple(meta["sigma_components"]),
+        return cls(
+            grid_times=np.asarray(meta["grid_times"]),
+            component_names=tuple(meta["component_names"]),
+            param_names=tuple(meta["param_names"]),
+            sigma_components=tuple(meta["sigma_components"]),
+            draws=np.fromfile(f"{prefix}.bin", dtype=np.float64).reshape(
+                meta["n_samples"], meta["dim"]),
             seed=meta["seed"],
+            config_hash=meta.get("config_hash", ""),
             flags=tuple(meta.get("flags", ())),
             step_size=meta.get("step_size", float("nan")),
             divergence_count=meta.get("divergence_count", 0),
         )
-        post.config_hash = meta.get("config_hash", "")
-        return post
-
-
-def _summarize(draws, grid_times, component_names, param_names, sigma_components,
-               seed, flags=(), step_size=float("nan"),
-               divergence_count=0) -> PosteriorSamples:
-    m, d = grid_times.size, len(component_names)
-    p = len(param_names)
-    x_mean = draws[:, : m * d].mean(axis=0).reshape(m, d)
-    theta_draws = draws[:, m * d : m * d + p]
-    theta_mean = theta_draws.mean(axis=0)
-    theta_ci = np.column_stack([
-        np.quantile(theta_draws, 0.025, axis=0),
-        np.quantile(theta_draws, 0.975, axis=0),
-    ])
-    sigma_mean = (
-        np.exp(draws[:, m * d + p :]).mean(axis=0)
-        if sigma_components else np.empty(0)
-    )
-    return PosteriorSamples(
-        grid_times=grid_times,
-        component_names=component_names,
-        param_names=param_names,
-        sigma_components=sigma_components,
-        draws=draws,
-        x_mean=x_mean,
-        theta_mean=theta_mean,
-        theta_ci=theta_ci,
-        sigma_mean=sigma_mean,
-        seed=seed,
-        flags=flags,
-        step_size=step_size,
-        divergence_count=divergence_count,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +609,15 @@ def run_inference(
     n_samples: int = 3000,
     seed: int = 0,
 ) -> PosteriorSamples:
-    """NUTS over the full joint state; returns draws plus posterior summaries."""
+    """NUTS over the full joint state from the initializer's point."""
     state = MagiState(x=np.asarray(init.x, dtype=float), theta=np.asarray(init.theta, dtype=float),
                       log_sigma=_initial_log_sigma(problem))
-    flags = init.flag.split() if init.flag else []
-    return _sample_posterior(problem, state, flags, seed, n_warmup, n_samples)
+    return _sample_posterior(problem, state, list(init.flags), seed, n_warmup, n_samples)
 
 
 def _sample_posterior(problem: MagiProblem, state: MagiState, flags: list[str], seed: int,
                       n_warmup: int, n_samples: int) -> PosteriorSamples:
-    """NUTS from a ready state, then unwhiten, flag and summarize the draws.
+    """NUTS from a ready state, then unwhiten and flag the draws.
 
     ``nuts_sample`` is looked up as this module's global at call time, so a
     caller that rebinds ``magi.nuts_sample`` sees every chain.
@@ -654,12 +630,12 @@ def _sample_posterior(problem: MagiProblem, state: MagiState, flags: list[str], 
             f"NUTS divergence rate {chain.divergence_rate:.1%} exceeds "
             f"{DIVERGENCE_WARN_RATE:.0%}; treat this run with suspicion")
 
-    post = _summarize(
-        problem.unwhiten_draws(chain.draws),
-        problem.grid.times,
-        problem.model.component_names,
-        problem.model.param_names,
-        tuple(problem.model.component_names[c] for c in problem.observed),
+    post = PosteriorSamples(
+        grid_times=problem.grid.times,
+        component_names=problem.model.component_names,
+        param_names=problem.model.param_names,
+        sigma_components=tuple(problem.model.component_names[c] for c in problem.observed),
+        draws=problem.unwhiten_draws(chain.draws),
         seed=seed,
         flags=tuple(flags),
         step_size=chain.step_size,
@@ -689,13 +665,22 @@ def prepare_fits(
     return fits
 
 
+def _fit_flags(fits: dict[int, GpFit]) -> tuple[str, ...]:
+    """The distinct flags raised by a set of GP fits, in component order."""
+    return tuple(dict.fromkeys(fit.flag for fit in fits.values() if fit.flag))
+
+
 def _insample_setup(model: OdeModel, times: np.ndarray, observations: ObservationSet,
                     use_fourier_prior: bool, init_budget: int,
                     ) -> tuple[DiscretizationGrid, InitResult, dict[int, GpFit]]:
-    """The in-sample grid, the gradient-matching initializer and the GP fits."""
+    """The in-sample grid, the gradient-matching initializer and the GP fits.
+
+    The returned initializer also carries the flags of the fits.
+    """
     grid = DiscretizationGrid.build(np.asarray(times, dtype=float), observations.times)
     init = init_missing_components(model, grid, observations, n_iter=init_budget)
-    return grid, init, prepare_fits(model, grid, observations, use_fourier_prior, init)
+    fits = prepare_fits(model, grid, observations, use_fourier_prior, init)
+    return grid, replace(init, flags=init.flags + _fit_flags(fits)), fits
 
 
 def _continue_past(model: OdeModel, x_head: np.ndarray, theta: np.ndarray,
@@ -755,10 +740,10 @@ def forecast_extended_grid(
     _, init_in, fits = _insample_setup(model, full_times[:n_insample], observations,
                                        use_fourier_prior, init_budget)
     x_full, continued = _continue_past(model, init_in.x, init_in.theta, full_times)
-    flag = init_in.flag or (None if continued else "forecast-init-constant")
+    flags = init_in.flags + (() if continued else ("forecast-init-constant",))
     problem = make_problem(model, DiscretizationGrid.build(full_times, observations.times),
                            observations, fits)
-    return run_inference(problem, InitResult(x=x_full, theta=init_in.theta, flag=flag),
+    return run_inference(problem, InitResult(x=x_full, theta=init_in.theta, flags=flags),
                          n_warmup=n_warmup, n_samples=n_samples, seed=seed)
 
 
@@ -822,6 +807,7 @@ def forecast_sequential(
                 samples.x_mean[tail_lo:prev_len, c],
                 use_fourier_prior=use_fourier_prior,
             )
+        flags += _fit_flags(fits)
 
         grid_new = DiscretizationGrid.build(full_times[:new_len], observations.times)
         problem = make_problem(model, grid_new, observations, fits)

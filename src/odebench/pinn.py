@@ -59,10 +59,6 @@ class MlpNet:
     def normalize(self, t: np.ndarray) -> np.ndarray:
         return 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo) - 1.0
 
-    def copy(self) -> "MlpNet":
-        return MlpNet([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                      self.t_lo, self.t_hi)
-
     def to_json(self, path=None) -> str:
         payload = {
             "widths": self.widths,

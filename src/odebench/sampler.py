@@ -252,8 +252,7 @@ def nuts_sample(
     rng = np.random.default_rng(config.seed)
     eps = _find_step_size(f, q, logp, grad, rng)
     da_mu = math.log(10.0 * eps)
-    log_eps = math.log(eps)
-    log_eps_bar = 0.0
+    log_eps = log_eps_bar = math.log(eps)
     h_bar = 0.0
 
     n_warmup, n_samples = config.n_warmup, config.n_samples
@@ -289,9 +288,14 @@ def nuts_sample(
 
 
 def effective_sample_size(x: np.ndarray) -> float:
-    """ESS of one scalar chain via Geyer's initial monotone positive sequence.
+    """ESS of one scalar chain via Geyer's initial monotone sequence.
 
-    A chain of at least 4 draws that never moved has ESS 0.
+    Pair sums rho[2k] + rho[2k+1] of the autocorrelations from lag 0 are
+    kept while positive and forced non-increasing; tau = -1 + 2 * sum(pair
+    sums) and ESS = n / tau, so an anti-correlated chain can exceed n.  tau
+    is floored at 1/log10(n), Stan's bound for near-alternating chains.  A
+    chain of at least 4 draws that never moved has ESS 0; a shorter one
+    gives n.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -303,15 +307,9 @@ def effective_sample_size(x: np.ndarray) -> float:
     acov = np.correlate(x, x, mode="full")[n - 1:] / n
     if acov[0] <= 0:
         return 0.0
-    rho = acov / acov[0]
-    pair_sums = []
-    k = 1
-    while k + 1 < n:
-        s = rho[k] + rho[k + 1]
-        if s <= 0:
-            break
-        pair_sums.append(s)
-        k += 2
-    running = np.minimum.accumulate(pair_sums) if pair_sums else []
-    tau = 1.0 + 2.0 * float(np.sum(running))
-    return float(n / max(tau, 1e-12))
+    pair_sums = (acov[: n - n % 2] / acov[0]).reshape(-1, 2).sum(axis=1)
+    nonpositive = np.flatnonzero(pair_sums <= 0.0)
+    if nonpositive.size:
+        pair_sums = pair_sums[: nonpositive[0]]
+    tau = -1.0 + 2.0 * float(np.minimum.accumulate(pair_sums).sum())
+    return float(n / max(tau, 1.0 / math.log10(n)))

@@ -374,6 +374,23 @@ def test_forecast_sequential_keeps_earlier_stage_flags(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_forecast_sequential_keeps_refit_flags(monkeypatch):
+    _, args, kwargs = _sequential_inputs()
+    original = magi.gp_smooth_fit
+    calls = []
+
+    def flag_refits(*a, **kw):
+        calls.append(None)
+        fit = original(*a, **kw)
+        return fit if len(calls) <= 3 else replace(fit, flag="refit-probe")  # 3 in stage 0
+
+    monkeypatch.setattr(magi, "gp_smooth_fit", flag_refits)
+    post = magi.forecast_sequential(*args, **kwargs)
+    assert len(calls) == 3 + 2 * 3
+    assert post.flags.count("refit-probe") == 1
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_rebound_nuts_sample_sees_every_chain(monkeypatch):
     """Rebinding ``magi.nuts_sample`` and wrapping ``CompiledTarget.func``
     counts every log-density call of every chain and leaves the draws as
@@ -506,3 +523,19 @@ def test_run_study_pool_has_no_more_workers_than_jobs(monkeypatch):
                       base_seed=3, parallelism=8)
     assert res.attempted == 2 and res.failed == 0
     assert pools == [2]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_small_study_results_pinned():
+    # Values recorded from an earlier commit.  A refactor that claims to
+    # leave results.csv unchanged must keep them.
+    res = E.run_study(tiny_regime(), [("magi", {"n_warmup": 20, "n_samples": 20,
+                                                "init_budget": 300})],
+                      replicates=2, base_seed=3)
+    assert res.failed == 0
+    errors = {r[5]: float(r[7]) for r in res.rows if r[3] == 0 and r[6] == "abs_error_theta"}
+    expected = {"beta": 0.07815957249795602, "gamma": 0.013799948665259021,
+                "sigma": 0.1054000225371976}
+    assert errors.keys() == expected.keys()
+    for name, value in expected.items():
+        assert errors[name] == pytest.approx(value, rel=1e-12), name

@@ -9,7 +9,7 @@ from odebench.dynamics import OdeModel, get_model
 from odebench.observations import ObservationSet
 from odebench.sampler import CompiledTarget, NutsConfig, nuts_sample
 
-from conftest import central_fd, make_missing_e_problem, rel_err
+from conftest import central_fd, make_missing_e_problem, rel_err, tiny_regime
 
 
 def _state_for(problem, seed=0, q_scale=0.05):
@@ -204,7 +204,7 @@ def test_init_fully_observed_uses_splines(seir_small):
         t_obs, y_obs = obs.component_values(c)
         expected = _interp_and_smooth(t_obs, y_obs, grid.times)
         assert np.allclose(init.x[:, c], expected)
-    assert init.flag is None
+    assert init.flags == ()
     assert np.all(init.theta > 0)
 
 
@@ -317,8 +317,49 @@ def test_posterior_samples_roundtrip(tmp_path, seir_small):
     post.save(prefix)
     back = magi.PosteriorSamples.load(prefix)
     assert np.array_equal(back.draws, post.draws)
-    assert np.allclose(back.theta_ci, post.theta_ci)
+    assert np.array_equal(back.grid_times, post.grid_times)
+    for name in ("x_mean", "theta_mean", "theta_ci", "sigma_mean"):
+        assert np.array_equal(getattr(back, name), getattr(post, name)), name
+    for name in ("component_names", "param_names", "sigma_components", "flags",
+                 "step_size", "divergence_count", "seed"):
+        assert getattr(back, name) == getattr(post, name), name
     assert back.config_hash == "abc123"
     summary = (tmp_path / "post_summary.csv").read_text().splitlines()
     assert summary[0] == "kind,name,time,mean,q025,q975"
     assert len(summary) == 1 + post.grid_times.size * 3 + 3 + 3
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_extended_forecast_keeps_every_init_flag(monkeypatch):
+    """A failed continuation is flagged even when the initializer flags too."""
+    from odebench import experiments as E
+
+    regime = tiny_regime()
+    obs = E.simulate_dataset(regime, 0)
+    real_init, real_continue = magi.init_missing_components, magi._continue_past
+
+    def flagged_init(*args, **kwargs):
+        init = real_init(*args, **kwargs)
+        return magi.InitResult(x=init.x, theta=init.theta, flags=("init-fallback-constant",))
+
+    monkeypatch.setattr(magi, "init_missing_components", flagged_init)
+    monkeypatch.setattr(magi, "_continue_past",
+                        lambda *args: (real_continue(*args)[0], False))
+    post = magi.forecast_extended_grid(regime.model(), regime.master_times(),
+                                       regime.n_grid_insample, obs, n_warmup=5,
+                                       n_samples=5, seed=0, init_budget=50)
+    assert post.flags[:2] == ("init-fallback-constant", "forecast-init-constant")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_gp_fit_flag_reaches_the_run():
+    """A flat observed component makes its GP fit flag; the run carries it."""
+    model = get_model("lorenz")
+    times = magi.uniform_grid(0.0, 1.0, 11)
+    truth = integrate.integrate_rk45(model, np.array([5.0, 5.0, 5.0]),
+                                     np.array([8.0 / 3.0, 28.0, 10.0]), times)
+    values = truth.values.copy()
+    values[:, 2] = 3.0
+    obs = ObservationSet(times=times, values=values, mask=(True, True, True))
+    post = magi.fit_magi(model, times, obs, n_warmup=10, n_samples=10, seed=0, init_budget=50)
+    assert "degenerate-flat-data" in post.flags

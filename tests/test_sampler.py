@@ -10,6 +10,7 @@ from odebench.sampler import (
     CompiledTarget,
     NutsConfig,
     _dual_average,
+    _find_step_size,
     effective_sample_size,
     nuts_sample,
 )
@@ -199,6 +200,24 @@ def test_effective_sample_size_iid_vs_correlated():
     assert effective_sample_size(ar) < 300
 
 
+@pytest.mark.parametrize("phi", [-0.5, 0.0, 0.5])
+def test_effective_sample_size_matches_ar1_closed_form(phi):
+    # An anti-correlated chain (phi < 0) carries more information than n
+    # independent draws, so its ESS exceeds n.
+    n = 20_000
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = noise[0] / math.sqrt(1.0 - phi * phi)
+    for i in range(1, n):
+        x[i] = phi * x[i - 1] + noise[i]
+    assert effective_sample_size(x) == pytest.approx(n * (1.0 - phi) / (1.0 + phi), rel=0.1)
+
+
+def test_effective_sample_size_of_short_chain_is_its_length():
+    assert effective_sample_size(np.arange(3.0)) == 3.0
+
+
 def test_effective_sample_size_of_frozen_chain_is_zero():
     assert effective_sample_size(np.full(500, 2.0)) == 0.0
     # The mean of seven 0.1s is off by one ulp, so the centred chain is not 0.
@@ -211,3 +230,19 @@ def test_chain_result_properties():
                       n_transitions=20)
     assert res.divergence_rate == pytest.approx(0.2)
     assert res.mean_accept == pytest.approx(0.9)
+
+
+def test_no_warmup_samples_at_the_probed_step():
+    """With n_warmup=0 the chain keeps the initial step-size probe's step."""
+    prec = 1e4
+
+    def stiff(q):
+        return -0.5 * prec * float(q @ q), -prec * q
+
+    q0 = np.array([0.01, 0.01])
+    res = nuts_sample(stiff, q0, NutsConfig(n_warmup=0, n_samples=200, seed=1))
+    logp, grad = stiff(q0)
+    probe = _find_step_size(stiff, q0, logp, grad, np.random.default_rng(1))
+    assert probe == 0.015625
+    assert res.step_size == pytest.approx(probe, rel=1e-12)
+    assert res.divergence_count == 0
