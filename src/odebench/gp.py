@@ -395,7 +395,7 @@ def gp_smooth_fit(
                        float(np.mean(y)), math.log(max(0.1 * sd, 1e-8))])
 
     data = _FitData.build(t, y, half_period)
-    adam = Adam([params], lr=FIT_LR)
+    adam = Adam(params, lr=FIT_LR)
     history = []
     for it in range(n_iter):
         obj, grad = _fit_objective(params, data)
@@ -404,8 +404,9 @@ def gp_smooth_fit(
         history.append(obj)
         if it >= 50 and abs(history[-1] - history[-51]) < 1e-8:
             break
-        (params,) = adam.step([params], [grad])
-        params = np.minimum(np.maximum(params, lo), hi)
+        adam.step(params, grad)
+        np.maximum(params, lo, out=params)
+        np.minimum(params, hi, out=params)
 
     amp, ell, mu, nsd = math.exp(params[0]), math.exp(params[1]), params[2], math.exp(params[3])
     return GpFit(

@@ -412,17 +412,25 @@ def init_missing_components(
     pos = np.asarray(model.positive_params, dtype=bool)
     theta0 = np.ones(p)
 
-    # Optimize (missing trajectory block, theta); positivity-constrained
-    # parameters move on log scale.  With no missing component the
-    # trajectory is fixed, and so is its finite-difference derivative.
-    u_theta = np.where(pos, np.log(theta0), theta0)
+    # Optimize (missing trajectory block, theta), laid out in one vector;
+    # positivity-constrained parameters move on log scale.  With no missing
+    # component the trajectory is fixed, and so is its finite-difference
+    # derivative.
+    n_free = m_sz * len(missing)
+    params = np.empty(n_free + p)
+    grad = np.empty_like(params)
+    free_block = params[:n_free].reshape(m_sz, len(missing))
+    u_theta = params[n_free:]
+    g_free = grad[:n_free].reshape(m_sz, len(missing))
+    g_u = grad[n_free:]
+    free_block[...] = x0[:, missing]
+    u_theta[...] = np.where(pos, np.log(theta0), theta0)
     xdot_fixed = None if missing else d1 @ x0
 
-    def objective_and_grads(blocks):
-        u_th = blocks[-1]
-        theta = np.where(pos, np.exp(u_th), u_th)
+    def objective():
+        """Objective at ``params``; its gradient goes into ``grad``."""
+        theta = np.where(pos, np.exp(u_theta), u_theta)
         if missing:
-            free_block = blocks[0]
             x = x0.copy()
             x[:, missing] = free_block
             xdot = d1 @ x
@@ -432,27 +440,27 @@ def init_missing_components(
         resid = xdot - fvals
         obj = float((resid * resid).sum())
         g_theta_raw = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
-        g_u = np.where(pos, g_theta_raw * theta, g_theta_raw)
+        g_u[...] = np.where(pos, g_theta_raw * theta, g_theta_raw)
         if not missing:
-            return obj, [g_u]
+            return obj
         jac_x = model.jac_state(x, theta, times)
-        g_free = 2.0 * (d1.T @ resid[:, missing])
-        g_free -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
+        g = 2.0 * (d1.T @ resid[:, missing])
+        g -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
         curv = d2 @ free_block
         obj += INIT_CURVATURE_WEIGHT * float(np.sum(curv * curv))
-        g_free += 2.0 * INIT_CURVATURE_WEIGHT * (d2.T @ curv)
-        return obj, [g_free, g_u]
+        g += 2.0 * INIT_CURVATURE_WEIGHT * (d2.T @ curv)
+        g_free[...] = g
+        return obj
 
-    blocks = [x0[:, missing].copy(), u_theta] if missing else [u_theta]
-    adam = Adam(blocks, lr=INIT_LR)
+    adam = Adam(params, lr=INIT_LR)
     ok = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_iter):
-            obj, grads = objective_and_grads(blocks)
-            if not (math.isfinite(obj) and all(np.isfinite(g).all() for g in grads)):
+            obj = objective()
+            if not (math.isfinite(obj) and np.isfinite(grad).all()):
                 ok = False
                 break
-            blocks = adam.step(blocks, grads)
+            adam.step(params, grad)
 
     if not ok:
         warnings.warn("gradient-matching initializer diverged; using constant fallback")
@@ -461,12 +469,11 @@ def init_missing_components(
             x[:, c] = fallback_level
         return InitResult(x=x, theta=np.ones(p), flags=("init-fallback-constant",))
 
-    u_theta = blocks[-1]
     theta = np.where(pos, np.exp(u_theta), u_theta)
     theta = np.clip(theta, [b[0] for b in model.theta_box], [b[1] for b in model.theta_box])
     x = x0.copy()
     if missing:
-        x[:, missing] = blocks[0]
+        x[:, missing] = free_block
     return InitResult(x=x, theta=theta)
 
 

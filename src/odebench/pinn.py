@@ -99,63 +99,164 @@ def init_mlp(widths: list[int], t_lo: float, t_hi: float, seed: int = 0) -> MlpN
     return MlpNet(weights=weights, biases=biases, t_lo=t_lo, t_hi=t_hi)
 
 
-def _dual_forward(net: MlpNet, t: np.ndarray):
-    """Value and exact time derivative of the network at times t.
+def _views(flat: np.ndarray, widths: list[int]):
+    """Views of a flat vector laid out as (weights, biases, rest) for a net of these widths."""
+    weights, biases, k = [], [], 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[k:k + n_out * n_in].reshape(n_out, n_in))
+        k += n_out * n_in
+    for n_out in widths[1:]:
+        biases.append(flat[k:k + n_out])
+        k += n_out
+    return weights, biases, flat[k:]
 
-    Returns (activations, tangents, zdots) per layer; the last entries are
-    N(t) and dN/dt.  zdots are cached for the reverse sweep.
+
+class _Sweep:
+    """The (m, width) arrays of one dual sweep of a net over m times.
+
+    The forward sweep writes each layer's activations, tangents and zdots,
+    and each hidden layer's tanh derivative phi = 1 - a^2; the reverse
+    sweep keeps the adjoints of the hidden activations and tangents, and
+    one scratch array per hidden layer.  Training reuses one sweep every
+    epoch, so an epoch allocates no array of this size.  Allocated and
+    freed every epoch, they left enough free memory at the top of the heap
+    for glibc's malloc to return it to the system and fault it back in on
+    the next epoch: about 220 page faults per epoch on the 321-point grid.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    a = net.normalize(t)[:, None]
-    v = np.full_like(a, net.time_scale)
-    acts, tangents, zdots = [a], [v], [None]
+
+    def __init__(self, widths: list[int], m: int):
+        def per_hidden_layer():
+            return [None] + [np.empty((m, n)) for n in widths[1:-1]] + [None]
+
+        self.acts = [np.empty((m, n)) for n in widths]
+        self.zdots = [None] + [np.empty((m, n)) for n in widths[1:]]
+        # The output layer is linear: its tangent is its zdot.
+        self.tangents = ([np.empty((m, widths[0]))] + [np.empty((m, n)) for n in widths[1:-1]]
+                         + [self.zdots[-1]])
+        self.phis = per_hidden_layer()
+        self.abar = per_hidden_layer()
+        self.vbar = per_hidden_layer()
+        self.scratch = per_hidden_layer()
+
+
+def _dual_forward(net: MlpNet, t: np.ndarray, sweep: _Sweep) -> None:
+    """Value and exact time derivative of the network at times t, into sweep.
+
+    sweep.acts[-1] and sweep.tangents[-1] become N(t) and dN/dt; the zdots
+    and phis stay for the reverse sweep.
+    """
+    acts, tangents, zdots, phis = sweep.acts, sweep.tangents, sweep.zdots, sweep.phis
+    acts[0][:, 0] = net.normalize(t)
+    tangents[0].fill(net.time_scale)
     n_layers = len(net.weights)
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
-        zdot = tangents[-1] @ w.T
+        z = np.matmul(acts[l], w.T, out=acts[l + 1])
+        z += b
+        zdot = np.matmul(tangents[l], w.T, out=zdots[l + 1])
         if l < n_layers - 1:
-            a = np.tanh(z)
-            v = (1.0 - a * a) * zdot
-        else:
-            a, v = z, zdot
-        acts.append(a)
-        tangents.append(v)
-        zdots.append(zdot)
-    return acts, tangents, zdots
+            a = np.tanh(z, out=z)
+            phi = np.multiply(a, a, out=phis[l + 1])
+            np.subtract(1.0, phi, out=phi)
+            np.multiply(phi, zdot, out=tangents[l + 1])
 
 
 def forward_with_time_derivative(net: MlpNet, t) -> tuple[np.ndarray, np.ndarray]:
     """N(t) and dN/dt; scalar t yields (D,) vectors, vector t yields (M, D)."""
     scalar = np.isscalar(t) or np.ndim(t) == 0
-    acts, tangents, _ = _dual_forward(net, t)
-    n, v = acts[-1], tangents[-1]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    sweep = _Sweep(net.widths, t.size)
+    _dual_forward(net, t, sweep)
+    n, v = sweep.acts[-1], sweep.tangents[-1]
     if scalar:
         return n[0], v[0]
     return n, v
 
 
-def _backward_dual(net: MlpNet, acts, tangents, zdots, abar, vbar):
+def _backward_dual(net: MlpNet, sweep: _Sweep, abar, vbar, grads_w, grads_b) -> None:
     """Backpropagate adjoints of (value, derivative) through the dual pass.
 
-    Returns per-layer weight and bias gradients.
+    abar and vbar are the adjoints of N(t) and dN/dt.  Writes each layer's
+    weight and bias gradients into grads_w and grads_b.
     """
-    n_layers = len(net.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        a_out = acts[l + 1]
-        if l == n_layers - 1:
-            zbar = abar
-            zdotbar = vbar
-        else:
-            phi1 = 1.0 - a_out * a_out
-            zdotbar = phi1 * vbar
-            zbar = phi1 * abar + (-2.0 * a_out * phi1) * zdots[l + 1] * vbar
-        grads_w[l] = zbar.T @ acts[l] + zdotbar.T @ tangents[l]
-        grads_b[l] = zbar.sum(axis=0)
-        abar = zbar @ net.weights[l]
-        vbar = zdotbar @ net.weights[l]
-    return grads_w, grads_b
+    acts, tangents, zdots, phis = sweep.acts, sweep.tangents, sweep.zdots, sweep.phis
+    for l in range(len(net.weights) - 1, -1, -1):
+        if phis[l + 1] is not None:
+            # zbar = phi abar - 2 a phi zdot vbar and zdotbar = phi vbar,
+            # each formed in the buffer of the adjoint it replaces.
+            phi = phis[l + 1]
+            cross = np.multiply(-2.0, acts[l + 1], out=sweep.scratch[l + 1])
+            cross *= phi
+            cross *= zdots[l + 1]
+            cross *= vbar
+            vbar *= phi
+            abar *= phi
+            abar += cross
+        np.add(abar.T @ acts[l], vbar.T @ tangents[l], out=grads_w[l])
+        abar.sum(axis=0, out=grads_b[l])
+        if l > 0:
+            abar = np.matmul(abar, net.weights[l], out=sweep.abar[l])
+            vbar = np.matmul(vbar, net.weights[l], out=sweep.vbar[l])
+
+
+@dataclass(frozen=True)
+class _PinnLoss:
+    """The PINN loss on one grid and data set, for nets of one shape.
+
+    rows, cols, values hold every observed entry (grid row, component,
+    value); n_obs is the number of observation times.
+    """
+
+    model: OdeModel
+    times: np.ndarray
+    lam: float
+    n_obs: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    sweep: _Sweep
+
+    @classmethod
+    def build(cls, model: OdeModel, data: ObservationSet, grid: DiscretizationGrid,
+              lam: float, widths: list[int]) -> "_PinnLoss":
+        obs_rows, cols = np.nonzero(~np.isnan(data.values))
+        return cls(model=model, times=grid.times, lam=lam, n_obs=data.times.size,
+                   rows=grid.obs_index[obs_rows], cols=cols, values=data.values[obs_rows, cols],
+                   sweep=_Sweep(widths, grid.times.size))
+
+    def __call__(self, net: MlpNet, theta: np.ndarray, grad: np.ndarray | None = None):
+        """(total, physics, data) losses at the given parameters.
+
+        With ``grad`` given, the gradient over (weights, biases, theta) is
+        written into it, laid out as ``_views`` reads it.  Callers hold
+        ``np.errstate``: a diverging network overflows.
+        """
+        model, times, lam, n_obs, sweep = self.model, self.times, self.lam, self.n_obs, self.sweep
+        m = times.size
+        _dual_forward(net, times, sweep)
+        n_out, v_out = sweep.acts[-1], sweep.tangents[-1]
+
+        fvals = model.rhs(n_out, theta, times)
+        resid = fvals - v_out
+        physics = float(np.sum(resid * resid)) / m
+
+        # Zero-filled (M, D), so the sum runs in the same pairwise order
+        # whatever the observation pattern.
+        data_resid = np.zeros_like(n_out)
+        data_resid[self.rows, self.cols] = n_out[self.rows, self.cols] - self.values
+        data_term = (lam / n_obs) * float(np.sum(data_resid * data_resid))
+        total = physics + data_term
+        if grad is None:
+            return total, physics, data_term
+
+        jac_x = model.jac_state(n_out, theta, times)
+        jac_t = model.jac_param(n_out, theta, times)
+        abar = (2.0 / m) * np.einsum("mc,mcd->md", resid, jac_x)
+        abar += (2.0 * lam / n_obs) * data_resid
+        vbar = -(2.0 / m) * resid
+        grads_w, grads_b, grad_theta = _views(grad, net.widths)
+        _backward_dual(net, sweep, abar, vbar, grads_w, grads_b)
+        grad_theta[...] = (2.0 / m) * np.einsum("mc,mcp->p", resid, jac_t)
+        return total, physics, data_term
 
 
 def pinn_loss(
@@ -167,44 +268,18 @@ def pinn_loss(
     lam: float,
 ) -> tuple[float, float, float]:
     """(total, physics, data) losses at the current parameters."""
-    total, physics, data_term, _, _, _ = _loss_and_grads(
-        model, net, theta, data, grid, lam, want_grads=False)
-    return total, physics, data_term
-
-
-def _loss_and_grads(model, net, theta, data, grid, lam, want_grads=True):
-    times = grid.times
-    m = times.size
-    acts, tangents, zdots = _dual_forward(net, times)
-    n_out, v_out = acts[-1], tangents[-1]
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fvals = model.rhs(n_out, theta, times)
-        resid = fvals - v_out
-        physics = float(np.sum(resid * resid)) / m
+        return _PinnLoss.build(model, data, grid, lam, net.widths)(net, theta)
 
-        n_obs = data.times.size
-        data_resid = np.zeros_like(n_out)
-        for c in data.observed_components():
-            col = data.values[:, c]
-            keep = ~np.isnan(col)
-            rows = grid.obs_index[keep]
-            data_resid[rows, c] = n_out[rows, c] - col[keep]
-        data_term = (lam / n_obs) * float(np.sum(data_resid * data_resid))
-        total = physics + data_term
 
-    if not want_grads:
-        return total, physics, data_term, None, None, None
-
+def _loss_and_grads(model, net, theta, data, grid, lam):
+    """(total, physics, data, grad); grad is flat over (weights, biases, theta)."""
+    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+                    + np.size(theta))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        jac_x = model.jac_state(n_out, theta, times)
-        jac_t = model.jac_param(n_out, theta, times)
-        abar = (2.0 / m) * np.einsum("mc,mcd->md", resid, jac_x)
-        abar += (2.0 * lam / n_obs) * data_resid
-        vbar = -(2.0 / m) * resid
-        grads_w, grads_b = _backward_dual(net, acts, tangents, zdots, abar, vbar)
-        grad_theta = (2.0 / m) * np.einsum("mc,mcp->p", resid, jac_t)
-    return total, physics, data_term, grads_w, grads_b, grad_theta
+        total, physics, data_term = _PinnLoss.build(model, data, grid, lam, net.widths)(
+            net, theta, grad)
+    return total, physics, data_term, grad
 
 
 @dataclass(frozen=True)
@@ -250,43 +325,45 @@ def train_pinn(
 ) -> TrainedPinn:
     """Full-batch Adam over (network weights, theta) for the configured epochs.
 
-    Positivity-constrained parameters are trained on log scale.  Steps that
-    produce a non-finite loss or gradient are skipped; a run with >= 1% of
-    steps skipped is flagged unstable but still returned.
+    The weights, biases and theta train as one flat vector; the network
+    reads reshaped views of it.  Positivity-constrained parameters are
+    trained on log scale.  Training stops at the first non-finite loss or
+    gradient and keeps the last finite parameters: the loss depends on the
+    parameters alone, so every later step would be non-finite too.  The
+    steps not taken count as skipped; a run with >= 1% of steps skipped is
+    flagged unstable but still returned.
     """
     widths = [1] + [HIDDEN_WIDTH] * config.n_hidden + [model.state_dim]
-    net = init_mlp(widths, config.t_lo, config.t_hi, seed=config.seed)
+    init = init_mlp(widths, config.t_lo, config.t_hi, seed=config.seed)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xFEED)))
     theta0 = rng.uniform(0.5, 1.5, size=model.param_dim)
     pos = np.asarray(model.positive_params, dtype=bool)
-    u_theta = np.where(pos, np.log(theta0), theta0)
 
-    params = list(net.weights) + list(net.biases) + [u_theta]
+    params = np.concatenate([w.ravel() for w in init.weights] + init.biases
+                            + [np.where(pos, np.log(theta0), theta0)])
+    weights, biases, u_theta = _views(params, widths)
+    net = MlpNet(weights=weights, biases=biases, t_lo=config.t_lo, t_hi=config.t_hi)
+    grad = np.empty_like(params)
+    g_theta = _views(grad, widths)[2]
+    loss = _PinnLoss.build(model, data, grid, config.lam, widths)
     adam = Adam(params, lr=config.learning_rate)
-    n_w = len(net.weights)
     history = []
     skipped = 0
 
-    for epoch in range(config.epochs):
-        theta = np.where(pos, np.exp(params[-1]), params[-1])
-        tmp_net = MlpNet(weights=params[:n_w], biases=params[n_w:-1],
-                         t_lo=config.t_lo, t_hi=config.t_hi)
-        total, physics, data_term, gw, gb, gt = _loss_and_grads(
-            model, tmp_net, theta, data, grid, config.lam)
-        finite = np.isfinite(total) and all(np.all(np.isfinite(g)) for g in gw + gb) \
-            and np.all(np.isfinite(gt))
-        if epoch % config.log_every == 0 and np.isfinite(total):
-            history.append((epoch, physics, data_term, total))
-        if not finite:
-            skipped += 1
-            continue
-        g_u = np.where(pos, gt * theta, gt)
-        params = adam.step(params, gw + gb + [g_u])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            theta = np.where(pos, np.exp(u_theta), u_theta)
+            total, physics, data_term = loss(net, theta, grad)
+            if epoch % config.log_every == 0 and np.isfinite(total):
+                history.append((epoch, physics, data_term, total))
+            if not (np.isfinite(total) and np.isfinite(grad).all()):
+                skipped = config.epochs - epoch
+                break
+            np.multiply(g_theta, theta, out=g_theta, where=pos)  # d/du = theta d/dtheta
+            adam.step(params, grad)
 
-    theta_hat = np.where(pos, np.exp(params[-1]), params[-1])
-    net = MlpNet(weights=params[:n_w], biases=params[n_w:-1],
-                 t_lo=config.t_lo, t_hi=config.t_hi)
-    total, physics, data_term = pinn_loss(model, net, theta_hat, data, grid, config.lam)
+        theta_hat = np.where(pos, np.exp(u_theta), u_theta)
+        total, physics, data_term = loss(net, theta_hat)
     history.append((config.epochs, physics, data_term, total))
 
     flags = []
