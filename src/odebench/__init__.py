@@ -1,6 +1,6 @@
 """odebench: MAGI vs PINN benchmark harness for ODE inverse problems."""
 
-from .dynamics import LorenzParams, OdeModel, SeirLogParams, get_model, model_names
+from .dynamics import OdeModel, get_model
 from .experiments import (
     ObservationSet,
     RegimeSpec,
@@ -18,14 +18,11 @@ from .integrate import IntegrationError, Trajectory, integrate_rk45, solve_peak
 from .magi import (
     DiscretizationGrid,
     MagiProblem,
-    MagiState,
     PosteriorSamples,
     fit_magi,
     forecast_extended_grid,
     forecast_sequential,
     init_missing_components,
-    log_posterior,
-    log_posterior_grad,
     run_inference,
 )
 from .pinn import MlpNet, PinnConfig, forward_with_time_derivative, pinn_loss, train_pinn

@@ -15,12 +15,9 @@ import numpy as np
 
 __all__ = [
     "OdeModel",
-    "SeirLogParams",
-    "LorenzParams",
     "seir_log_rhs",
     "lorenz_rhs",
     "get_model",
-    "model_names",
 ]
 
 
@@ -53,36 +50,6 @@ class OdeModel:
             raise ValueError("component_names length must equal state_dim")
         if len(self.param_names) != self.param_dim:
             raise ValueError("param_names length must equal param_dim")
-
-
-@dataclass(frozen=True)
-class SeirLogParams:
-    """Epidemic rates: contact (beta), infectious exit (gamma), latency exit (sigma_e)."""
-
-    beta: float
-    gamma: float
-    sigma_e: float
-
-    def __post_init__(self):
-        if not (self.beta > 0 and self.gamma > 0 and self.sigma_e > 0):
-            raise ValueError("all SEIR rates must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.beta, self.gamma, self.sigma_e], dtype=float)
-
-
-@dataclass(frozen=True)
-class LorenzParams:
-    beta: float
-    rho: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.beta > 0 and self.sigma > 0):
-            raise ValueError("beta and sigma must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.beta, self.rho, self.sigma], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +186,3 @@ def get_model(name: str) -> OdeModel:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {sorted(_REGISTRY)}") from None
-
-
-def model_names() -> list[str]:
-    return sorted(_REGISTRY)

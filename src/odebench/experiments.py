@@ -110,13 +110,14 @@ class RegimeSpec:
         return self.master_times()[: self.n_grid_insample]
 
     def obs_times(self) -> np.ndarray:
+        return self.insample_times()[:: self.obs_stride()]
+
+    def obs_stride(self) -> int:
+        """In-sample grid steps between observations, which must subdivide the grid."""
         stride, rem = divmod(self.n_grid_insample - 1, self.n_obs - 1)
         if rem != 0:
             raise ValueError(f"regime {self.name}: observations do not subdivide the grid")
-        return self.insample_times()[::stride]
-
-    def obs_stride(self) -> int:
-        return (self.n_grid_insample - 1) // (self.n_obs - 1)
+        return stride
 
     def eval_times(self) -> np.ndarray:
         if self.eval_index_lo is None:
@@ -436,6 +437,7 @@ def run_single(
     dataset = simulate_dataset(regime, data_seed)
     truth = ground_truth(regime)
 
+    eval_times = regime.eval_times() if forecast else None  # fail before the method runs
     started = _time.perf_counter()
     flags: list[str] = []
     insample_times = regime.insample_times()
@@ -472,7 +474,6 @@ def run_single(
         cfg = PinnConfig(
             lam=run_id.lam,
             epochs=int(options.get("epochs", 60000)),
-            learning_rate=float(options.get("learning_rate", 0.01)),
             n_hidden=int(options.get("n_hidden", 3)),
             t_lo=float(insample_times[0]),
             t_hi=float(insample_times[-1]),
@@ -519,7 +520,6 @@ def run_single(
             add(pname, "ci_hit", float(hit[p_i]))
 
     if forecast:
-        eval_times = regime.eval_times()
         rmse_fc = compute_rmse(est, truth, eval_times)
         for c, comp in enumerate(model.component_names):
             add(comp, "rmse_forecast", rmse_fc[c])

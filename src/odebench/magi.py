@@ -43,14 +43,11 @@ from .sampler import CompiledTarget, NutsConfig, nuts_sample
 
 __all__ = [
     "DiscretizationGrid",
-    "MagiState",
     "MagiProblem",
     "InitResult",
     "PosteriorSamples",
     "uniform_grid",
     "make_problem",
-    "log_posterior",
-    "log_posterior_grad",
     "init_missing_components",
     "run_inference",
     "fit_magi",
@@ -104,16 +101,16 @@ class DiscretizationGrid:
         return self.times.size
 
 
-@dataclass
-class MagiState:
-    """One point of the joint sampling space."""
+def _blocks(packed: np.ndarray, m: int, d: int,
+            p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the trajectory (..., M, D), theta and log-sigma blocks.
 
-    x: np.ndarray  # M x D latent trajectory values
-    theta: np.ndarray  # P
-    log_sigma: np.ndarray  # one entry per observed component
-
-    def copy(self) -> "MagiState":
-        return MagiState(self.x.copy(), self.theta.copy(), self.log_sigma.copy())
+    The packed layout is ``[x (M x D, row-major) | theta (P) | log sigma]``,
+    for one point (a vector) or one per row (a draws matrix).  The trajectory
+    block holds x or, in the sampler's coordinates, the whitened q.
+    """
+    traj = packed[..., : m * d].reshape(*packed.shape[:-1], m, d)
+    return traj, packed[..., m * d : m * d + p], packed[..., m * d + p :]
 
 
 class MagiProblem:
@@ -165,36 +162,25 @@ class MagiProblem:
         lo = np.array([b[0] for b in model.theta_box])
         hi = np.array([b[1] for b in model.theta_box])
         self.theta_lo, self.theta_hi = lo, hi
+        self.sizes = (m_sz, d, model.param_dim)  # (M, D, P) of the packed layout
         self.dim = m_sz * d + model.param_dim + len(self.observed)
 
-    # -- state packing -----------------------------------------------------
-
-    def pack(self, state: MagiState) -> np.ndarray:
-        return np.concatenate([state.x.ravel(), state.theta, state.log_sigma])
-
-    def unpack(self, flat: np.ndarray) -> MagiState:
-        m, d, p = self.grid.size, self.model.state_dim, self.model.param_dim
-        x = flat[: m * d].reshape(m, d)
-        theta = flat[m * d : m * d + p]
-        log_sigma = flat[m * d + p :]
-        return MagiState(x=x, theta=theta, log_sigma=log_sigma)
-
-    def whiten(self, state: MagiState) -> np.ndarray:
-        """Pack a state with the trajectory block in whitened coordinates."""
-        q = np.empty_like(state.x)
+    def whiten(self, x: np.ndarray, theta: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
+        """The packed sampler point: q with x = mu + L q per component, theta, log sigma."""
+        packed = np.empty(self.dim)
+        q, packed_theta, packed_log_sigma = _blocks(packed, *self.sizes)
         for c in range(self.model.state_dim):
-            q[:, c] = solve_triangular(self.Lmat[c], state.x[:, c] - self.mu[c], lower=True)
-        return np.concatenate([q.ravel(), state.theta, state.log_sigma])
+            q[:, c] = solve_triangular(self.Lmat[c], x[:, c] - self.mu[c], lower=True)
+        packed_theta[...] = theta
+        packed_log_sigma[...] = log_sigma
+        return packed
 
     def unwhiten_draws(self, draws: np.ndarray) -> np.ndarray:
-        """Map whitened draws back to trajectory space (in place on a copy)."""
-        m, d = self.grid.size, self.model.state_dim
+        """Whitened draws mapped back to trajectory space, on a copy."""
         out = draws.copy()
-        q = draws[:, : m * d].reshape(-1, m, d)
-        x = np.empty_like(q)
-        for c in range(d):
+        q, x = _blocks(draws, *self.sizes)[0], _blocks(out, *self.sizes)[0]
+        for c in range(self.model.state_dim):
             x[:, :, c] = q[:, :, c] @ self.Lmat[c].T + self.mu[c]
-        out[:, : m * d] = x.reshape(draws.shape[0], m * d)
         return out
 
 
@@ -236,7 +222,7 @@ def make_logdensity_whitened(problem: MagiProblem):
     component.  This is the one formulation the sampler runs, for every model.
     """
     model = problem.model
-    m_sz, d, p = problem.grid.size, model.state_dim, model.param_dim
+    sizes = problem.sizes
     times = problem.grid.times
     mu, Lmat = problem.mu, problem.Lmat
     Cinv, mmat, mmat_T = problem.Cinv, problem.mmat, problem.mmat_T
@@ -245,9 +231,8 @@ def make_logdensity_whitened(problem: MagiProblem):
     theta_lo, theta_hi = problem.theta_lo, problem.theta_hi
 
     def logdensity_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        q = flat[: m_sz * d].reshape(m_sz, d).T  # (D, M)
-        theta = flat[m_sz * d : m_sz * d + p]
-        log_sigma = flat[m_sz * d + p :]
+        q, theta, log_sigma = _blocks(flat, *sizes)
+        q = q.T  # (D, M)
         if (
             np.any(theta < theta_lo)
             or np.any(theta > theta_hi)
@@ -289,39 +274,16 @@ def make_logdensity_whitened(problem: MagiProblem):
                 rows = obs_rows[j]
                 gx[rows, c] += (obs_vals[j] - x[rows, c]) / sig2[j]
 
-            gq = np.matmul(Lmat.transpose(0, 2, 1), gx.T[:, :, None])[:, :, 0] - q
-            grad_theta = -np.einsum("cm,mcp->p", b, jac_t)
-            grad_sigma = sse / sig2 - np.asarray(obs_counts, dtype=float)
-            grad = np.concatenate([gq.T.ravel(), grad_theta, grad_sigma])
+            grad = np.empty_like(flat)
+            grad_q, grad_theta, grad_sigma = _blocks(grad, *sizes)
+            grad_q[...] = (np.matmul(Lmat.transpose(0, 2, 1), gx.T[:, :, None])[:, :, 0] - q).T
+            grad_theta[...] = -np.einsum("cm,mcp->p", b, jac_t)
+            grad_sigma[...] = sse / sig2 - np.asarray(obs_counts, dtype=float)
             if not np.all(np.isfinite(grad)):
                 return -np.inf, np.zeros_like(flat)
             return value, grad
 
     return logdensity_and_grad
-
-
-def log_posterior(problem: MagiProblem, state: MagiState) -> float:
-    """Joint log posterior up to an additive constant; -inf when non-finite.
-
-    Evaluated on the whitened target at q = whiten(state): the GP prior term
-    (x - mu)^T K^{-1} (x - mu) equals q^T q, so the value is the same.
-    """
-    value, _ = make_logdensity_whitened(problem)(problem.whiten(state))
-    return value
-
-
-def log_posterior_grad(problem: MagiProblem, state: MagiState) -> np.ndarray:
-    """Analytic gradient over (x, theta, log_sigma), packed like the state.
-
-    The whitened target's trajectory block is pulled back to x by L^{-T} per
-    component; the theta and log-sigma blocks are the same in both.
-    """
-    m_sz, d = problem.grid.size, problem.model.state_dim
-    _, grad = make_logdensity_whitened(problem)(problem.whiten(state))
-    g_traj = grad[: m_sz * d].reshape(m_sz, d)  # a view: pulled back in place
-    for c in range(d):
-        g_traj[:, c] = solve_triangular(problem.Lmat[c], g_traj[:, c], lower=True, trans="T")
-    return grad
 
 
 def gp_gradient_estimate(problem: MagiProblem, x: np.ndarray) -> np.ndarray:
@@ -511,18 +473,18 @@ class PosteriorSamples:
     def n_samples(self) -> int:
         return self.draws.shape[0]
 
-    def x_draws(self) -> np.ndarray:
-        m, d = self.grid_times.size, len(self.component_names)
-        return self.draws[:, : m * d].reshape(-1, m, d)
+    def _draw_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _blocks(self.draws, self.grid_times.size, len(self.component_names),
+                       len(self.param_names))
+
+    def x_draws(self) -> np.ndarray:  # n_samples x M x D
+        return self._draw_blocks()[0]
 
     def theta_draws(self) -> np.ndarray:
-        m, d = self.grid_times.size, len(self.component_names)
-        p = len(self.param_names)
-        return self.draws[:, m * d : m * d + p]
+        return self._draw_blocks()[1]
 
     def log_sigma_draws(self) -> np.ndarray:
-        m, d = self.grid_times.size, len(self.component_names)
-        return self.draws[:, m * d + len(self.param_names) :]
+        return self._draw_blocks()[2]
 
     @cached_property
     def x_mean(self) -> np.ndarray:  # M x D
@@ -617,20 +579,20 @@ def run_inference(
     seed: int = 0,
 ) -> PosteriorSamples:
     """NUTS over the full joint state from the initializer's point."""
-    state = MagiState(x=np.asarray(init.x, dtype=float), theta=np.asarray(init.theta, dtype=float),
-                      log_sigma=_initial_log_sigma(problem))
-    return _sample_posterior(problem, state, list(init.flags), seed, n_warmup, n_samples)
+    return _sample_posterior(problem, init.x, init.theta, _initial_log_sigma(problem),
+                             list(init.flags), seed, n_warmup, n_samples)
 
 
-def _sample_posterior(problem: MagiProblem, state: MagiState, flags: list[str], seed: int,
+def _sample_posterior(problem: MagiProblem, x: np.ndarray, theta: np.ndarray,
+                      log_sigma: np.ndarray, flags: list[str], seed: int,
                       n_warmup: int, n_samples: int) -> PosteriorSamples:
-    """NUTS from a ready state, then unwhiten and flag the draws.
+    """NUTS from the whitened image of (x, theta, log_sigma), then unwhiten and flag the draws.
 
     ``nuts_sample`` is looked up as this module's global at call time, so a
     caller that rebinds ``magi.nuts_sample`` sees every chain.
     """
     config = NutsConfig(n_warmup=n_warmup, n_samples=n_samples, seed=seed)
-    chain = nuts_sample(make_sampler_target(problem), problem.whiten(state), config)
+    chain = nuts_sample(make_sampler_target(problem), problem.whiten(x, theta, log_sigma), config)
     if chain.divergence_rate > DIVERGENCE_WARN_RATE:
         flags.append(f"high-divergence-rate:{chain.divergence_rate:.2f}")
         warnings.warn(
@@ -793,8 +755,8 @@ def forecast_sequential(
         prev_len = samples.grid_times.size
         new_len = prev_len + points_per_step
 
-        theta_last = samples.theta_draws()[-1].copy()
-        log_sigma_last = samples.log_sigma_draws()[-1].copy()
+        theta_last = samples.theta_draws()[-1]
+        log_sigma_last = samples.log_sigma_draws()[-1]
         x_init, continued = _continue_past(model, samples.x_draws()[-1], theta_last,
                                            full_times[:new_len])
         flags = []
@@ -818,8 +780,8 @@ def forecast_sequential(
 
         grid_new = DiscretizationGrid.build(full_times[:new_len], observations.times)
         problem = make_problem(model, grid_new, observations, fits)
-        state = MagiState(x=x_init, theta=theta_last, log_sigma=log_sigma_last)
-        samples = _sample_posterior(problem, state, flags, stage_seed, n_warmup, n_samples)
+        samples = _sample_posterior(problem, x_init, theta_last, log_sigma_last, flags,
+                                    stage_seed, n_warmup, n_samples)
         stage_flags += samples.flags
 
     samples.flags = tuple(dict.fromkeys(stage_flags))

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 HIDDEN_WIDTH = 20
+PINN_LR = 0.01  # Adam step of the training
 
 
 @dataclass
@@ -286,7 +287,6 @@ def _loss_and_grads(model, net, theta, data, grid, lam):
 class PinnConfig:
     lam: float = 10.0
     epochs: int = 60000
-    learning_rate: float = 0.01
     n_hidden: int = 3  # 3 or 4 hidden layers of HIDDEN_WIDTH units
     t_lo: float = 0.0  # training span mapped onto [-1, 1]
     t_hi: float = 1.0
@@ -346,7 +346,7 @@ def train_pinn(
     grad = np.empty_like(params)
     g_theta = _views(grad, widths)[2]
     loss = _PinnLoss.build(model, data, grid, config.lam, widths)
-    adam = Adam(params, lr=config.learning_rate)
+    adam = Adam(params, lr=PINN_LR)
     history = []
     skipped = 0
 

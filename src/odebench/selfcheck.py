@@ -131,27 +131,16 @@ def _small_seir_problem():
 
 
 def _check_posterior_gradient() -> tuple[bool, str]:
-    """The sampler's target in whitened q, and log_posterior_grad in x."""
+    """The sampler's target, in whitened q."""
     problem, truth = _small_seir_problem()
     rng = np.random.default_rng(7)
-    state = magi.MagiState(
-        x=truth.values + 0.05 * rng.standard_normal(truth.values.shape),
-        theta=np.array([1.8, 0.25, 0.5]),
-        log_sigma=np.array([-2.0, -2.1, -1.9]),
-    )
+    q = problem.whiten(truth.values + 0.05 * rng.standard_normal(truth.values.shape),
+                       np.array([1.8, 0.25, 0.5]), np.array([-2.0, -2.1, -1.9]))
     target = magi.make_sampler_target(problem)
-    q = problem.whiten(state)
     _, grad_q = target.func(q, target.ctx)
     fd_q = central_difference_gradient(lambda v: target.func(v, target.ctx)[0], q)
     err_q = relative_agreement(grad_q, fd_q, floor=1e-6)
-
-    flat = problem.pack(state)
-    grad_x = magi.log_posterior_grad(problem, state)
-    fd_x = central_difference_gradient(
-        lambda v: magi.log_posterior(problem, problem.unpack(v)), flat)
-    err_x = relative_agreement(grad_x, fd_x, floor=1e-6)
-    ok = err_q < 1e-5 and err_x < 1e-5
-    return ok, f"max rel err {err_q:.2e} (sampler target), {err_x:.2e} (x)"
+    return err_q < 1e-5, f"max rel err {err_q:.2e} (sampler target)"
 
 
 def _check_pinn_gradient() -> tuple[bool, str]:

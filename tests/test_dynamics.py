@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odebench.dynamics import (
-    LorenzParams,
-    SeirLogParams,
-    get_model,
-    lorenz_rhs,
-    model_names,
-    seir_log_rhs,
-)
+from odebench.dynamics import get_model, lorenz_rhs, seir_log_rhs
 
 from conftest import central_fd, rel_err
 
@@ -120,17 +113,7 @@ def test_vectorized_rhs_matches_pointwise():
     assert jb.shape == (7, 3, 3)
 
 
-def test_param_type_validation():
-    with pytest.raises(ValueError):
-        SeirLogParams(beta=-1.0, gamma=0.2, sigma_e=0.6)
-    with pytest.raises(ValueError):
-        LorenzParams(beta=0.0, rho=28.0, sigma=10.0)
-    LorenzParams(beta=1.0, rho=-5.0, sigma=1.0)  # rho may be negative
-    assert SeirLogParams(2.0, 0.2, 0.6).as_array().tolist() == [2.0, 0.2, 0.6]
-
-
 def test_registry():
-    assert model_names() == ["lorenz", "seir-log"]
     assert get_model("seir-log").component_names == ("logE", "logI", "logR")
     with pytest.raises(KeyError):
         get_model("brusselator")

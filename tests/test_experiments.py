@@ -90,6 +90,13 @@ def test_zero_noise_reproduces_truth():
     assert np.allclose(ds.values, truth.values[obs_rows], atol=0)
 
 
+def test_observations_must_subdivide_the_grid():
+    # 160 grid steps over 7 observation gaps: stride 22 would stop the data at t = 5.775.
+    regime = replace(E.get_regime("seir-full"), n_obs=8)
+    with pytest.raises(ValueError, match="subdivide"):
+        E.simulate_dataset(regime, 3)
+
+
 def test_lorenz_noise_anchored_to_component_sd():
     regime = E.get_regime("lorenz-chaotic")
     ds = E.simulate_dataset(regime, 11)
@@ -298,6 +305,23 @@ def test_run_single_forecast_adds_qoi(tmp_path):
     assert "abs_error_R0" in metrics
     assert "abs_error_peak_time" in metrics
     assert "abs_error_peak_intensity" in metrics
+
+
+def test_forecast_without_eval_grid_fails_before_training(tmp_path, monkeypatch):
+    calls = []
+    train = E.train_pinn
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(E, "train_pinn", counting_train)
+    res = E.run_study(E.get_regime("lorenz-chaotic"), [("pinn", {"lam": 10.0, "epochs": 20})],
+                      replicates=1, base_seed=0, out_dir=str(tmp_path), forecast=True,
+                      save_artifacts=True)
+    assert calls == []
+    assert [row[8] for row in res.rows] == ["error:ValueError"]
+    assert not list(tmp_path.glob("network_*"))
 
 
 FORECAST_MAGI = {"n_warmup": 5, "n_samples": 5, "init_budget": 50}

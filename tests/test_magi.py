@@ -13,26 +13,21 @@ from conftest import central_fd, make_missing_e_problem, rel_err, tiny_regime
 
 
 def _state_for(problem, seed=0, q_scale=0.05):
-    """A sampler-plausible random state built by perturbing in whitened space."""
+    """A sampler-plausible random (x, theta, log_sigma), perturbed in whitened space."""
     rng = np.random.default_rng(seed)
     init = magi.init_missing_components(problem.model, problem.grid,
                                         problem.observations, n_iter=300)
     log_sigma = np.array([
         math.log(max(problem.noise_sd_init.get(c, 0.1), 1e-3)) for c in problem.observed
     ])
-    base = magi.MagiState(x=init.x, theta=init.theta, log_sigma=log_sigma)
-    q = problem.whiten(base) + q_scale * rng.standard_normal(problem.dim)
-    return problem.unpack(problem.unwhiten_draws(q[None, :])[0])
+    q = problem.whiten(init.x, init.theta, log_sigma)
+    q += q_scale * rng.standard_normal(problem.dim)
+    return magi._blocks(problem.unwhiten_draws(q[None, :])[0], *problem.sizes)
 
 
-def test_log_posterior_gradient_matches_fd(seir_small):
-    problem = seir_small["problem"]
-    for seed in range(3):
-        state = _state_for(problem, seed=seed)
-        flat = problem.pack(state)
-        grad = magi.log_posterior_grad(problem, state)
-        fd = central_fd(lambda v: magi.log_posterior(problem, problem.unpack(v)), flat)
-        assert rel_err(grad, fd, floor=1e-4 * max(1.0, np.max(np.abs(fd)))) < 1e-5
+def _log_post(problem, x, theta, log_sigma):
+    """The sampler's target value at the whitened image of (x, theta, log_sigma)."""
+    return magi.make_logdensity_whitened(problem)(problem.whiten(x, theta, log_sigma))[0]
 
 
 def test_whitened_gradient_matches_fd(seir_small, lorenz_small):
@@ -40,8 +35,7 @@ def test_whitened_gradient_matches_fd(seir_small, lorenz_small):
     problems = [seir_small["problem"], lorenz_small["problem"], make_missing_e_problem()[-1]]
     for problem in problems:
         target = magi.make_sampler_target(problem)
-        state = _state_for(problem, seed=1)
-        q = problem.whiten(state)
+        q = problem.whiten(*_state_for(problem, seed=1))
         _, grad = target.func(q, target.ctx)
         fd = central_fd(lambda v: target.func(v, target.ctx)[0], q)
         assert rel_err(grad, fd, floor=1e-4 * max(1.0, np.max(np.abs(fd)))) < 1e-5
@@ -50,7 +44,7 @@ def test_whitened_gradient_matches_fd(seir_small, lorenz_small):
 def test_sampler_target_matches_numpy_reference(seir_small, lorenz_small):
     for fixture in (seir_small, lorenz_small):
         problem = fixture["problem"]
-        q = problem.whiten(_state_for(problem, seed=2))
+        q = problem.whiten(*_state_for(problem, seed=2))
         v_ref, g_ref = magi.make_logdensity_whitened(problem)(q)
         target = magi.make_sampler_target(problem)
         assert isinstance(target, CompiledTarget)
@@ -60,11 +54,10 @@ def test_sampler_target_matches_numpy_reference(seir_small, lorenz_small):
 
 
 def test_whitened_value_equals_plain_value(seir_small):
-    """log_posterior against the value built term by term in x coordinates."""
+    """The whitened target against the value built term by term in x coordinates."""
     problem = seir_small["problem"]
     model, grid, obs = problem.model, problem.grid, problem.observations
-    state = _state_for(problem, seed=3)
-    x, theta, log_sigma = state.x, state.theta, state.log_sigma
+    x, theta, log_sigma = _state_for(problem, seed=3)
 
     fvals = model.rhs(x, theta, grid.times)
     gp_term = mech_term = 0.0
@@ -82,24 +75,23 @@ def test_whitened_value_equals_plain_value(seir_small):
         norm_term += t_c.size * log_sigma[j]
 
     expected = -0.5 * (gp_term + obs_term + mech_term) - norm_term
-    assert rel_err(magi.log_posterior(problem, state), expected) < 1e-10
+    assert rel_err(_log_post(problem, x, theta, log_sigma), expected) < 1e-10
 
 
 def test_doubling_sigma_identity(seir_small):
     problem = seir_small["problem"]
-    state = _state_for(problem, seed=4)
-    v1 = magi.log_posterior(problem, state)
+    x, theta, log_sigma = _state_for(problem, seed=4)
+    v1 = _log_post(problem, x, theta, log_sigma)
 
     c = 1  # second observed component
     rows = problem.obs_rows[c]
-    sse = float(np.sum((problem.obs_vals[c] - state.x[rows, problem.observed[c]]) ** 2))
+    sse = float(np.sum((problem.obs_vals[c] - x[rows, problem.observed[c]]) ** 2))
     n_c = problem.obs_counts[c]
-    sigma = math.exp(state.log_sigma[c])
+    sigma = math.exp(log_sigma[c])
 
-    doubled = state.copy()
-    doubled.log_sigma = state.log_sigma.copy()
-    doubled.log_sigma[c] += math.log(2.0)
-    v2 = magi.log_posterior(problem, doubled)
+    doubled = log_sigma.copy()
+    doubled[c] += math.log(2.0)
+    v2 = _log_post(problem, x, theta, doubled)
     expected = 0.5 * (1.0 - 0.25) * sse / sigma**2 - n_c * math.log(2.0)
     assert rel_err(v2 - v1, expected) < 1e-9
 
@@ -114,8 +106,8 @@ def test_observation_order_is_set_semantics(seir_small):
     problem2 = magi.make_problem(seir_small["model"], seir_small["grid"], rebuilt,
                                  seir_small["fits"])
     state = _state_for(problem, seed=5)
-    v1 = magi.log_posterior(problem, state)
-    v2 = magi.log_posterior(problem2, state)
+    v1 = _log_post(problem, *state)
+    v2 = _log_post(problem2, *state)
     assert v1 == v2
     with pytest.raises(ValueError):
         ObservationSet(times=obs.times[::-1].copy(), values=obs.values.copy(), mask=obs.mask)
@@ -124,9 +116,9 @@ def test_observation_order_is_set_semantics(seir_small):
 def test_missing_component_bookkeeping():
     model, grid, obs, init, fits, problem = make_missing_e_problem()
     assert problem.observed == [1, 2]
-    state = magi.MagiState(x=init.x, theta=init.theta, log_sigma=np.array([-2.0, -2.0]))
-    assert problem.pack(state).size == grid.size * 3 + 3 + 2
-    grad = magi.log_posterior_grad(problem, state)
+    q = problem.whiten(init.x, init.theta, np.array([-2.0, -2.0]))
+    assert q.size == grid.size * 3 + 3 + 2
+    _, grad = magi.make_logdensity_whitened(problem)(q)
     assert grad.size == problem.dim
     assert np.all(np.isfinite(init.x))
 
@@ -143,33 +135,29 @@ def test_mech_term_ignores_missingness_mask(seir_small):
     problem_full = seir_small["problem"]
     problem_masked = magi.make_problem(model, grid, obs_masked, fits)
 
-    state_full = _state_for(problem_full, seed=6)
-    state_masked = magi.MagiState(x=state_full.x, theta=state_full.theta,
-                                  log_sigma=state_full.log_sigma[1:])
+    x, theta, _ = _state_for(problem_full, seed=6)
 
-    def terms(problem, state):
-        xc = (state.x - problem.mu).T
-        fvals = model.rhs(state.x, state.theta, grid.times)
+    def terms(problem, x, theta):
+        xc = (x - problem.mu).T
+        fvals = model.rhs(x, theta, grid.times)
         gdot = np.matmul(problem.mmat, xc[:, :, None])[:, :, 0]
         resid = fvals.T - gdot
         b = np.matmul(problem.Cinv, resid[:, :, None])[:, :, 0]
         return float(np.sum(resid * b))
 
-    assert terms(problem_full, state_full) == pytest.approx(
-        terms(problem_masked, state_masked), rel=1e-12)
+    assert terms(problem_full, x, theta) == pytest.approx(
+        terms(problem_masked, x, theta), rel=1e-12)
 
 
 def test_huge_sigma_leaves_mech_term_in_charge(seir_small):
     """At sigma -> large the theta profile is governed by the mechanistic term."""
     problem = seir_small["problem"]
-    state = _state_for(problem, seed=7)
+    x, theta, log_sigma = _state_for(problem, seed=7)
 
     def value_at(beta, log_sigma_val):
-        st = state.copy()
-        st.theta = state.theta.copy()
-        st.theta[0] = beta
-        st.log_sigma = np.full_like(state.log_sigma, log_sigma_val)
-        return magi.log_posterior(problem, st)
+        th = theta.copy()
+        th[0] = beta
+        return _log_post(problem, x, th, np.full_like(log_sigma, log_sigma_val))
 
     # sigma at the top of its prior box: the data term shrinks to nothing
     betas = np.linspace(0.5, 4.0, 29)
@@ -177,13 +165,12 @@ def test_huge_sigma_leaves_mech_term_in_charge(seir_small):
 
     # Mechanistic + GP objective only (no observation terms).
     def mech_only(beta):
-        st = state.copy()
-        st.theta = state.theta.copy()
-        st.theta[0] = beta
-        xc = (st.x - problem.mu).T
+        th = theta.copy()
+        th[0] = beta
+        xc = (x - problem.mu).T
         gp_term = sum(float(xc[c] @ cho_solve(km.chol_K, xc[c]))
                       for c, km in enumerate(problem.kernels))
-        fvals = problem.model.rhs(st.x, st.theta, problem.grid.times)
+        fvals = problem.model.rhs(x, th, problem.grid.times)
         gdot = np.matmul(problem.mmat, xc[:, :, None])[:, :, 0]
         resid = fvals.T - gdot
         b = np.matmul(problem.Cinv, resid[:, :, None])[:, :, 0]
