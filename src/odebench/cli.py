@@ -49,9 +49,9 @@ def _merge_config(ctx: click.Context, config_path: str | None) -> None:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _regime_or_exit(name: str, replicates: int | None = None) -> experiments.RegimeSpec:
+def _regime_or_exit(name: str) -> experiments.RegimeSpec:
     try:
-        return experiments.get_regime(name, replicates=replicates)
+        return experiments.get_regime(name)
     except KeyError:
         names = ", ".join(r.name for r in experiments.builtin_regimes())
         raise click.UsageError(f"unknown regime {name!r}; choose one of: {names}")
@@ -194,7 +194,7 @@ def regimes():
             f"[{spec.t0:g},{spec.t_obs_end:g}] noise={spec.noise_level:g} "
             f"({spec.noise_kind}) grid={spec.n_grid_insample}"
             + (f"+{spec.n_grid_total - spec.n_grid_insample}" if spec.n_grid_total else "")
-            + f" forecast={forecast} replicates={spec.replicates}"
+            + f" forecast={forecast}"
         )
 
 

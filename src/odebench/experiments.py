@@ -88,17 +88,21 @@ class RegimeSpec:
     n_grid_insample: int
     metric_space: str  # "log" or "raw": the space the components live in
     fourier_prior: bool
-    forecast_protocol: str | None = None  # "extended" | "sequential"
     t_end: float | None = None
     n_grid_total: int | None = None
-    points_per_step: int | None = None
+    points_per_step: int | None = None  # set: sequential forecasting, in steps this long
     eval_index_lo: int | None = None
-    eval_index_hi: int | None = None  # inclusive
     peak_component: int | None = None
-    replicates: int = 100
 
     def model(self) -> OdeModel:
         return get_model(self.model_name)
+
+    @property
+    def forecast_protocol(self) -> str | None:
+        """How the regime forecasts: "extended", "sequential", or None without a horizon."""
+        if self.t_end is None:
+            return None
+        return "extended" if self.points_per_step is None else "sequential"
 
     def master_times(self) -> np.ndarray:
         """The full grid, forecast horizon included when one exists."""
@@ -120,9 +124,10 @@ class RegimeSpec:
         return stride
 
     def eval_times(self) -> np.ndarray:
+        """The master grid from eval_index_lo to its end."""
         if self.eval_index_lo is None:
             raise ValueError(f"regime {self.name} has no forecast evaluation grid")
-        return self.master_times()[self.eval_index_lo : self.eval_index_hi + 1]
+        return self.master_times()[self.eval_index_lo:]
 
 
 _LOG_MILLI = float(np.log(0.001))
@@ -146,9 +151,8 @@ SEIR_FULL = _register(RegimeSpec(
     n_grid_insample=161,
     metric_space="log",
     fourier_prior=False,
-    forecast_protocol="extended",
     t_end=12.0, n_grid_total=321,
-    eval_index_lo=161, eval_index_hi=320,
+    eval_index_lo=161,
     peak_component=1,
 ))
 
@@ -182,10 +186,9 @@ LORENZ_FORECAST = _register(RegimeSpec(
     n_grid_insample=81,
     metric_space="raw",
     fourier_prior=True,
-    forecast_protocol="sequential",
     t_end=5.0, n_grid_total=201,
     points_per_step=40,
-    eval_index_lo=80, eval_index_hi=200,
+    eval_index_lo=80,
 ))
 
 
@@ -193,12 +196,11 @@ def builtin_regimes() -> list[RegimeSpec]:
     return list(_REGIMES.values())
 
 
-def get_regime(name: str, replicates: int | None = None) -> RegimeSpec:
+def get_regime(name: str) -> RegimeSpec:
     try:
-        spec = _REGIMES[name]
+        return _REGIMES[name]
     except KeyError:
         raise KeyError(f"unknown regime {name!r}; available: {sorted(_REGIMES)}") from None
-    return spec if replicates is None else replace(spec, replicates=replicates)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ def _run_identity(regime: RegimeSpec, method: str, options: dict, replicate: int
                   base_seed: int, forecast: bool) -> RunIdentity:
     """Everything that names one (regime, method, options, replicate) run."""
     options = dict(options or {})
-    lam = float(options.get("lam", 10.0)) if method == "pinn" else None
+    lam = float(options.get("lam", PinnConfig.lam)) if method == "pinn" else None
     lam_text = "" if lam is None else f"{lam:g}"
     chash = config_hash({
         "regime": regime.name, "method": method, "options": options,
@@ -420,6 +422,11 @@ def run_single(
     out_dir: str | None = None,
 ) -> tuple[list[tuple], dict]:
     """Simulate one dataset, run one method, compute all metrics.
+
+    ``options`` reach the method unchanged: the keyword arguments of
+    ``fit_magi`` and the forecast functions past (use_fourier_prior, seed),
+    or the fields of ``PinnConfig`` past seed.  A key the method does not
+    take raises TypeError.
 
     Returns (result rows, run manifest).  Rows follow RESULT_COLUMNS; wall
     time lives only in the manifest so result CSVs stay byte-identical
@@ -443,20 +450,15 @@ def run_single(
     insample_times = regime.insample_times()
 
     if method == "magi":
-        sampling = dict(use_fourier_prior=regime.fourier_prior,
-                        n_warmup=int(options.get("n_warmup", 3000)),
-                        n_samples=int(options.get("n_samples", 3000)), seed=seed,
-                        init_budget=int(options.get("init_budget", 3000)))
+        sampling = dict(use_fourier_prior=regime.fourier_prior, seed=seed, **options)
         if not forecast:
             post = fit_magi(model, insample_times, dataset, **sampling)
         elif regime.forecast_protocol == "extended":
             post = forecast_extended_grid(model, regime.master_times(), regime.n_grid_insample,
                                           dataset, **sampling)
-        elif regime.forecast_protocol == "sequential":
+        else:
             post = forecast_sequential(model, regime.master_times(), regime.n_grid_insample,
                                        regime.points_per_step, dataset, **sampling)
-        else:
-            raise ValueError(f"regime {regime.name} defines no forecast protocol")
         post.config_hash = run_id.config_hash
         flags.extend(post.flags)
         est = Trajectory(times=post.grid_times, values=post.x_mean, model_name=model.name)
@@ -471,15 +473,7 @@ def run_single(
     elif method == "pinn":
         grid_times = regime.master_times() if forecast else insample_times
         grid = DiscretizationGrid.build(grid_times, dataset.times)
-        cfg = PinnConfig(
-            lam=run_id.lam,
-            epochs=int(options.get("epochs", 60000)),
-            n_hidden=int(options.get("n_hidden", 3)),
-            t_lo=float(insample_times[0]),
-            t_hi=float(insample_times[-1]),
-            seed=seed,
-        )
-        trained: TrainedPinn = train_pinn(cfg, model, dataset, grid)
+        trained: TrainedPinn = train_pinn(PinnConfig(seed=seed, **options), model, dataset, grid)
         flags.extend(trained.flags)
         n_vals, v_vals = forward_with_time_derivative(trained.net, grid_times)
         est = Trajectory(times=grid_times, values=n_vals, model_name=model.name)

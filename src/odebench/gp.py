@@ -52,6 +52,7 @@ MATERN_NU = 2.01
 DDK_JITTER = 1e-6  # absolute diagonal perturbation on K'' before forming C
 K_JITTER_BASE = 1e-7  # relative (times amplitude^2) retry jitter on K
 FIT_LR = 0.01  # Adam step of the hyperparameter fit
+N_INTERP = 512  # points of the linear interpolation dominant_half_period transforms
 
 
 class GpFitError(RuntimeError):
@@ -255,7 +256,7 @@ def _softplus(x: float) -> float:
     return x if x > 30.0 else math.log1p(math.exp(x))
 
 
-def dominant_half_period(times: np.ndarray, values: np.ndarray, n_interp: int = 512) -> float | None:
+def dominant_half_period(times: np.ndarray, values: np.ndarray) -> float | None:
     """Half the dominant period of the linearly interpolated signal.
 
     Returns None when the signal carries no non-DC power (constant data).
@@ -265,14 +266,14 @@ def dominant_half_period(times: np.ndarray, values: np.ndarray, n_interp: int = 
     span = times[-1] - times[0]
     if span <= 0:
         return None
-    tt = np.linspace(times[0], times[-1], n_interp)
+    tt = np.linspace(times[0], times[-1], N_INTERP)
     yy = np.interp(tt, times, values)
     yy = yy - yy.mean()
     power = np.abs(np.fft.rfft(yy)) ** 2
     power[0] = 0.0
     if not np.any(power > 0):
         return None
-    freqs = np.fft.rfftfreq(n_interp, d=span / (n_interp - 1))
+    freqs = np.fft.rfftfreq(N_INTERP, d=span / (N_INTERP - 1))
     f_dom = freqs[int(np.argmax(power))]
     if f_dom <= 0:
         return None

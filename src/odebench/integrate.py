@@ -8,7 +8,6 @@ free from the FSAL structure of the tableau).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,25 +66,6 @@ class Trajectory:
 
     def component(self, index: int) -> np.ndarray:
         return self.values[:, index]
-
-    def to_csv(self, path, component_names=None) -> None:
-        """Write `t,<component...>` rows at full double precision."""
-        d = self.values.shape[1]
-        names = list(component_names) if component_names is not None else [f"x{i}" for i in range(d)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + names)
-            for t, row in zip(self.times, self.values):
-                writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-
-    @classmethod
-    def from_csv(cls, path, model_name: str = "") -> "Trajectory":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = [[float(v) for v in row] for row in reader]
-        arr = np.array(rows, dtype=float)
-        return cls(times=arr[:, 0], values=arr[:, 1:], model_name=model_name)
 
 
 def _hermite_eval(t, t0, t1, y0, y1, f0, f1):

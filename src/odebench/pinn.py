@@ -33,6 +33,7 @@ __all__ = [
 
 HIDDEN_WIDTH = 20
 PINN_LR = 0.01  # Adam step of the training
+LOG_EVERY = 100  # epochs between loss-history rows
 
 
 @dataclass
@@ -288,10 +289,7 @@ class PinnConfig:
     lam: float = 10.0
     epochs: int = 60000
     n_hidden: int = 3  # 3 or 4 hidden layers of HIDDEN_WIDTH units
-    t_lo: float = 0.0  # training span mapped onto [-1, 1]
-    t_hi: float = 1.0
     seed: int = 0
-    log_every: int = 100
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -325,16 +323,19 @@ def train_pinn(
 ) -> TrainedPinn:
     """Full-batch Adam over (network weights, theta) for the configured epochs.
 
-    The weights, biases and theta train as one flat vector; the network
-    reads reshaped views of it.  Positivity-constrained parameters are
-    trained on log scale.  Training stops at the first non-finite loss or
-    gradient and keeps the last finite parameters: the loss depends on the
-    parameters alone, so every later step would be non-finite too.  The
-    steps not taken count as skipped; a run with >= 1% of steps skipped is
-    flagged unstable but still returned.
+    The network maps the observation window, data.times[0] to
+    data.times[-1], onto [-1, 1].  The weights, biases and theta train as
+    one flat vector; the network reads reshaped views of it.
+    Positivity-constrained parameters are trained on log scale.  Training
+    stops at the first non-finite loss or gradient and keeps the last
+    finite parameters: the loss depends on the parameters alone, so every
+    later step would be non-finite too.  The steps not taken count as
+    skipped; a run with >= 1% of steps skipped is flagged unstable but
+    still returned.
     """
     widths = [1] + [HIDDEN_WIDTH] * config.n_hidden + [model.state_dim]
-    init = init_mlp(widths, config.t_lo, config.t_hi, seed=config.seed)
+    t_lo, t_hi = float(data.times[0]), float(data.times[-1])
+    init = init_mlp(widths, t_lo, t_hi, seed=config.seed)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xFEED)))
     theta0 = rng.uniform(0.5, 1.5, size=model.param_dim)
     pos = np.asarray(model.positive_params, dtype=bool)
@@ -342,7 +343,7 @@ def train_pinn(
     params = np.concatenate([w.ravel() for w in init.weights] + init.biases
                             + [np.where(pos, np.log(theta0), theta0)])
     weights, biases, u_theta = _views(params, widths)
-    net = MlpNet(weights=weights, biases=biases, t_lo=config.t_lo, t_hi=config.t_hi)
+    net = MlpNet(weights=weights, biases=biases, t_lo=t_lo, t_hi=t_hi)
     grad = np.empty_like(params)
     g_theta = _views(grad, widths)[2]
     loss = _PinnLoss.build(model, data, grid, config.lam, widths)
@@ -354,7 +355,7 @@ def train_pinn(
         for epoch in range(config.epochs):
             theta = np.where(pos, np.exp(u_theta), u_theta)
             total, physics, data_term = loss(net, theta, grad)
-            if epoch % config.log_every == 0 and np.isfinite(total):
+            if epoch % LOG_EVERY == 0 and np.isfinite(total):
                 history.append((epoch, physics, data_term, total))
             if not (np.isfinite(total) and np.isfinite(grad).all()):
                 skipped = config.epochs - epoch

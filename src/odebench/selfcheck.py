@@ -153,24 +153,14 @@ def _check_pinn_gradient() -> tuple[bool, str]:
     net = pinn.init_mlp([1, 3, 3], 0.0, 1.0, seed=4)
     theta = np.array([2.0, 20.0, 8.0])
 
-    packs = [w for w in net.weights] + [b for b in net.biases] + [theta]
-    shapes = [p.shape for p in packs]
-    sizes = [p.size for p in packs]
-
-    def unpack(flat):
-        arrs, k = [], 0
-        for shape, size in zip(shapes, sizes):
-            arrs.append(flat[k:k + size].reshape(shape))
-            k += size
-        return arrs
+    flat0 = np.concatenate([w.ravel() for w in net.weights] + net.biases + [theta])
 
     def loss_of(flat):
-        arrs = unpack(flat)
-        tmp = pinn.MlpNet(weights=arrs[:2], biases=arrs[2:4], t_lo=0.0, t_hi=1.0)
-        total, _, _ = pinn.pinn_loss(model, tmp, arrs[4], obs, grid, lam=10.0)
+        weights, biases, theta_v = pinn._views(flat, net.widths)
+        tmp = pinn.MlpNet(weights=weights, biases=biases, t_lo=0.0, t_hi=1.0)
+        total, _, _ = pinn.pinn_loss(model, tmp, theta_v, obs, grid, lam=10.0)
         return total
 
-    flat0 = np.concatenate([p.ravel() for p in packs])
     grad = pinn._loss_and_grads(model, net, theta, obs, grid, 10.0)[3]
     fd = central_difference_gradient(loss_of, flat0)
     err = relative_agreement(grad, fd, floor=1e-6)

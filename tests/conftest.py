@@ -111,7 +111,6 @@ def tiny_regime(**overrides):
         t_end=overrides.pop("t_end", 12.0),
         n_grid_total=overrides.pop("n_grid_total", 41),
         eval_index_lo=overrides.pop("eval_index_lo", 21),
-        eval_index_hi=overrides.pop("eval_index_hi", 40),
         **overrides,
     )
     return small

@@ -223,6 +223,15 @@ def test_reference_coverage_targets():
     assert E.REFERENCE_COVERAGE["seir-missing-e"] == {"beta": 0.94, "gamma": 0.91, "sigma": 0.93}
 
 
+def test_forecast_protocol_follows_the_grid_fields():
+    expected = {"seir-full": "extended", "seir-missing-e": "extended", "lorenz-chaotic": None,
+                "lorenz-stable": None, "lorenz-forecast": "sequential"}
+    for regime in E.builtin_regimes():
+        assert regime.forecast_protocol == expected[regime.name]
+        if regime.forecast_protocol is not None:
+            assert regime.eval_times()[-1] == regime.master_times()[-1]
+
+
 def test_derive_seed_stability_and_method_independence():
     regime = E.get_regime("seir-full")
     s1 = E.dataset_seed(7, regime, 0)
@@ -234,7 +243,7 @@ def test_derive_seed_stability_and_method_independence():
 
 
 def test_run_study_counts_and_resume(tmp_path):
-    regime = tiny_regime(name="tiny-seir", replicates=2)
+    regime = tiny_regime(name="tiny-seir")
     methods = [("magi", {"n_warmup": 20, "n_samples": 20, "init_budget": 50}),
                ("pinn", {"lam": 10.0, "epochs": 50})]
     out = tmp_path / "study"
@@ -324,6 +333,25 @@ def test_forecast_without_eval_grid_fails_before_training(tmp_path, monkeypatch)
     assert not list(tmp_path.glob("network_*"))
 
 
+@pytest.mark.parametrize("method, options, counted", [
+    ("magi", {"n_warmups": 10, "n_samples": 5, "init_budget": 50}, (magi, "nuts_sample")),
+    ("pinn", {"lam": 10.0, "epochs": 20, "layers": 3}, (E, "train_pinn")),
+], ids=["magi", "pinn"])
+def test_unknown_option_fails_before_the_method_runs(tmp_path, monkeypatch, method, options,
+                                                     counted):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("the method ran")  # stop a run that ignored the key at once
+
+    monkeypatch.setattr(*counted, counting)
+    res = E.run_study(tiny_regime(name="tiny-typo"), [(method, options)], replicates=1,
+                      base_seed=0, out_dir=str(tmp_path))
+    assert calls == []
+    assert [row[8] for row in res.rows] == ["error:TypeError"]
+
+
 FORECAST_MAGI = {"n_warmup": 5, "n_samples": 5, "init_budget": 50}
 
 
@@ -331,7 +359,7 @@ def lorenz_forecast_small():
     """The sequential-forecast regime cut to two warm-started stages."""
     return replace(E.get_regime("lorenz-forecast"), t_obs_end=1.0, n_obs=11,
                    n_grid_insample=21, t_end=2.0, n_grid_total=41, points_per_step=10,
-                   eval_index_lo=20, eval_index_hi=40)
+                   eval_index_lo=20)
 
 
 def _forecast_run(regime, out_dir):

@@ -12,18 +12,6 @@ def decay(x, p, t):
     return -x
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
-    times = np.linspace(0.0, 1.0, 7)
-    values = np.random.default_rng(2).standard_normal((7, 2))
-    path = tmp_path / "traj.csv"
-    Trajectory(times=times, values=values).to_csv(path, component_names=("a", "b"))
-    assert path.read_text().splitlines()[0] == "t,a,b"
-    back = Trajectory.from_csv(path, model_name="m")
-    assert np.array_equal(back.times, times)
-    assert np.array_equal(back.values, values)
-    assert back.model_name == "m"
-
-
 def test_exponential_decay_endpoint():
     traj = integrate_rk45(decay, np.array([1.0]), np.zeros(1), np.array([0.0, 1.0]))
     assert abs(traj.values[-1, 0] - np.exp(-1.0)) < 1e-6
@@ -146,14 +134,3 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 1.0]), values=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 1.0]), values=np.array([[0.0], [np.inf]]))
-
-
-def test_csv_roundtrip_full_precision(tmp_path):
-    times = np.linspace(0.0, 1.0, 7)
-    values = np.column_stack([np.pi * times, np.exp(times)])
-    traj = Trajectory(times=times, values=values, model_name="demo")
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, component_names=["a", "b"])
-    back = Trajectory.from_csv(path)
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.values, traj.values)

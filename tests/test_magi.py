@@ -290,8 +290,10 @@ def test_prior_driven_run_stays_finite():
     grid = magi.DiscretizationGrid.build(times, obs.times)
     problem = magi.make_problem(model, grid, obs, fits)
     init = magi.InitResult(x=np.zeros((17, 3)) + 0.1, theta=np.array([2.0, 20.0, 8.0]))
-    post = magi.run_inference(problem, init, n_warmup=100, n_samples=100, seed=3)
+    with pytest.warns(UserWarning, match="divergence rate"):
+        post = magi.run_inference(problem, init, n_warmup=100, n_samples=100, seed=3)
     assert np.all(np.isfinite(post.x_mean))
+    assert any(flag.startswith("high-divergence-rate:") for flag in post.flags)
 
 
 def test_posterior_samples_roundtrip(tmp_path, seir_small):

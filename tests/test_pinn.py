@@ -165,7 +165,7 @@ def test_train_linear_ode_recovers_theta():
     truth = 2.0 * np.exp(-theta_true * times)[:, None]
     data = ObservationSet(times=times[::2], values=truth[::2], mask=(True,))
     grid = magi.DiscretizationGrid.build(times, data.times)
-    cfg = pinn.PinnConfig(lam=10.0, epochs=12000, t_lo=0.0, t_hi=3.0, seed=1)
+    cfg = pinn.PinnConfig(lam=10.0, epochs=12000, seed=1)
     out = pinn.train_pinn(cfg, decay, data, grid)
     assert abs(out.theta_hat[0] - theta_true) / theta_true < 0.05
 
@@ -175,7 +175,7 @@ def test_train_determinism():
     times = np.linspace(0.0, 1.0, 11)
     data = _toy_data(model, times[::2], seed=8)
     grid = magi.DiscretizationGrid.build(times, data.times)
-    cfg = pinn.PinnConfig(lam=1.0, epochs=300, t_lo=0.0, t_hi=1.0, seed=11)
+    cfg = pinn.PinnConfig(lam=1.0, epochs=300, seed=11)
     a = pinn.train_pinn(cfg, model, data, grid)
     b = pinn.train_pinn(cfg, model, data, grid)
     for wa, wb in zip(a.net.weights, b.net.weights):
@@ -191,7 +191,7 @@ def test_seeded_training_pinned():
     times = np.linspace(0.0, 1.0, 11)
     data = _toy_data(model, times[::2], seed=8)
     grid = magi.DiscretizationGrid.build(times, data.times)
-    cfg = pinn.PinnConfig(lam=1.0, epochs=300, t_lo=0.0, t_hi=1.0, seed=11)
+    cfg = pinn.PinnConfig(lam=1.0, epochs=300, seed=11)
     out = pinn.train_pinn(cfg, model, data, grid)
     np.testing.assert_allclose(
         out.theta_hat, [3.4844730590479513, 4.120800719706825, 0.09074901351127668], rtol=1e-12)
@@ -204,7 +204,7 @@ def test_history_decomposition_identity():
     times = np.linspace(0.0, 1.0, 11)
     data = _toy_data(model, times[::2], seed=9)
     grid = magi.DiscretizationGrid.build(times, data.times)
-    cfg = pinn.PinnConfig(lam=10.0, epochs=250, t_lo=0.0, t_hi=1.0, seed=2, log_every=50)
+    cfg = pinn.PinnConfig(lam=10.0, epochs=400, seed=2)
     out = pinn.train_pinn(cfg, model, data, grid)
     assert out.history.shape[0] >= 5
     for epoch, physics, data_term, total in out.history:
@@ -238,7 +238,7 @@ def _nan_model_problem():
     times = np.linspace(0.0, 1.0, 9)
     data = ObservationSet(times=times[::2], values=np.ones((5, 1)), mask=(True,))
     grid = magi.DiscretizationGrid.build(times, data.times)
-    cfg = pinn.PinnConfig(lam=1.0, epochs=120, t_lo=0.0, t_hi=1.0, seed=0)
+    cfg = pinn.PinnConfig(lam=1.0, epochs=120, seed=0)
     return data, grid, cfg
 
 
@@ -288,7 +288,7 @@ def test_history_csv(tmp_path):
     times = np.linspace(0.0, 1.0, 9)
     data = _toy_data(model, times[::2], seed=10)
     grid = magi.DiscretizationGrid.build(times, data.times)
-    cfg = pinn.PinnConfig(lam=1.0, epochs=100, t_lo=0.0, t_hi=1.0, seed=3, log_every=25)
+    cfg = pinn.PinnConfig(lam=1.0, epochs=100, seed=3)
     out = pinn.train_pinn(cfg, model, data, grid)
     path = tmp_path / "loss.csv"
     out.history_to_csv(path)
