@@ -8,7 +8,7 @@ same implementation serves single-point evaluation and whole-grid sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,8 +40,8 @@ class OdeModel:
     jac_param: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     # True where the parameter is constrained positive (used by optimizers
     # that work on log-scale) and the sampler's flat prior box.
-    positive_params: tuple[bool, ...] = field(default=())
-    theta_box: tuple[tuple[float, float], ...] = field(default=())
+    positive_params: tuple[bool, ...]
+    theta_box: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if self.state_dim <= 0 or self.param_dim <= 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -229,21 +230,11 @@ def config_hash(payload: dict) -> str:
 # Truth and dataset simulation
 # ---------------------------------------------------------------------------
 
-_TRUTH_CACHE: dict[tuple, Trajectory] = {}
-
-
-def _truth_key(regime: RegimeSpec) -> tuple:
-    return (regime.model_name, regime.theta_true, regime.x0, regime.t0,
-            regime.t_obs_end, regime.t_end, regime.n_grid_insample, regime.n_grid_total)
-
-
+@functools.cache
 def ground_truth(regime: RegimeSpec) -> Trajectory:
     """Integrated truth on the regime's master grid, cached per regime."""
-    key = _truth_key(regime)
-    if key not in _TRUTH_CACHE:
-        _TRUTH_CACHE[key] = integrate_rk45(regime.model(), np.array(regime.x0),
-                                           np.array(regime.theta_true), regime.master_times())
-    return _TRUTH_CACHE[key]
+    return integrate_rk45(regime.model().rhs, np.array(regime.x0), np.array(regime.theta_true),
+                          regime.master_times())
 
 
 def simulate_dataset(regime: RegimeSpec, replicate_seed: int) -> ObservationSet:
@@ -283,23 +274,22 @@ def simulate_dataset(regime: RegimeSpec, replicate_seed: int) -> ObservationSet:
     )
 
 
-_QOI_CACHE: dict[tuple, tuple[float, float, float]] = {}
-
-
+@functools.cache
 def regime_truth_qoi(regime: RegimeSpec) -> tuple[float, float, float]:
-    """(R0, peak time, peak intensity) of the truth, peak on a 4x finer grid."""
-    key = _truth_key(regime)
-    if key in _QOI_CACHE:
-        return _QOI_CACHE[key]
+    """(R0, peak time, peak intensity) of the truth, cached per regime.
+
+    The peak is taken on a grid 4x finer than the master grid.
+    """
+    if regime.peak_component is None:
+        raise ValueError(f"regime {regime.name} has no peak component")
     r0 = regime.theta_true[0] / regime.theta_true[1]
     master = regime.master_times()
     step = (master[1] - master[0]) / 4.0
     transform = np.exp if regime.metric_space == "log" else None
-    pt, pv = solve_peak(regime.model(), np.array(regime.x0), np.array(regime.theta_true),
+    pt, pv = solve_peak(regime.model().rhs, np.array(regime.x0), np.array(regime.theta_true),
                         horizon=(master[0], master[-1]), grid_step=step,
-                        component=regime.peak_component or 1, value_transform=transform)
-    _QOI_CACHE[key] = (r0, pt, pv)
-    return _QOI_CACHE[key]
+                        component=regime.peak_component, value_transform=transform)
+    return r0, pt, pv
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +311,13 @@ class QuantitiesOfInterest:
     r0: float
     peak_time: float
     peak_intensity: float
-    peak_at_boundary: bool = False
 
 
 def quantities_of_interest(
     theta_hat: np.ndarray,
     forecast: Trajectory,
-    peak_component: int = 1,
-    value_transform=np.exp,
+    peak_component: int,
+    value_transform,
 ) -> QuantitiesOfInterest:
     """Reproduction number and peak of the estimated infectious curve."""
     r0 = float(theta_hat[0] / theta_hat[1])
@@ -340,7 +329,6 @@ def quantities_of_interest(
         r0=r0,
         peak_time=float(forecast.times[idx]),
         peak_intensity=float(vals[idx]),
-        peak_at_boundary=idx in (0, vals.size - 1),
     )
 
 
@@ -461,7 +449,7 @@ def run_single(
                                        regime.points_per_step, dataset, **sampling)
         post.config_hash = run_id.config_hash
         flags.extend(post.flags)
-        est = Trajectory(times=post.grid_times, values=post.x_mean, model_name=model.name)
+        est = Trajectory(times=post.grid_times, values=post.x_mean)
         theta_hat = post.theta_mean
         n_in = regime.n_grid_insample
         deriv_in = post.x_deriv_mean[:n_in]
@@ -476,7 +464,7 @@ def run_single(
         trained: TrainedPinn = train_pinn(PinnConfig(seed=seed, **options), model, dataset, grid)
         flags.extend(trained.flags)
         n_vals, v_vals = forward_with_time_derivative(trained.net, grid_times)
-        est = Trajectory(times=grid_times, values=n_vals, model_name=model.name)
+        est = Trajectory(times=grid_times, values=n_vals)
         theta_hat = trained.theta_hat
         n_in = regime.n_grid_insample
         x_in, deriv_in = n_vals[:n_in], v_vals[:n_in]

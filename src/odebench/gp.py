@@ -65,18 +65,15 @@ class ConditioningError(RuntimeError):
 
 @dataclass(frozen=True)
 class MaternHyper:
-    """Kernel hyperparameters; nu is pinned at 2.01 by construction."""
+    """Kernel hyperparameters; the smoothness is the constant MATERN_NU."""
 
     amplitude: float
     lengthscale: float
     mean: float = 0.0
-    nu: float = MATERN_NU
 
     def __post_init__(self):
         if not (self.amplitude > 0 and self.lengthscale > 0):
             raise ValueError("amplitude and lengthscale must be positive")
-        if self.nu != MATERN_NU:
-            raise ValueError(f"smoothness is fixed at {MATERN_NU}")
 
 
 # Constants of the Matern family at nu = MATERN_NU: z = sqrt(2 nu) r / l
@@ -188,19 +185,12 @@ class GpKernelMats:
 
 
 def _chol_with_retries(mat: np.ndarray, base_jitter: float, label: str):
-    """Cholesky with up to 3 doublings of an additive diagonal jitter."""
-    jitter = 0.0
-    attempt = base_jitter
-    for trial in range(5):
+    """Cholesky of mat, retried with base_jitter x (1, 2, 4, 8) added to its diagonal."""
+    for jitter in (0.0, base_jitter, 2.0 * base_jitter, 4.0 * base_jitter, 8.0 * base_jitter):
         try:
-            factor = cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True)
-            return factor, jitter
+            return cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True), jitter
         except np.linalg.LinAlgError:
             pass
-        if trial == 4:
-            break
-        jitter = attempt
-        attempt *= 2.0
     raise ConditioningError(f"Cholesky factorization of {label} failed after jitter retries")
 
 
@@ -249,7 +239,6 @@ class GpFit:
     hyper: MaternHyper
     noise_sd: float
     flag: str | None = None
-    half_period: float | None = None
 
 
 def _softplus(x: float) -> float:
@@ -410,8 +399,4 @@ def gp_smooth_fit(
         np.minimum(params, hi, out=params)
 
     amp, ell, mu, nsd = math.exp(params[0]), math.exp(params[1]), params[2], math.exp(params[3])
-    return GpFit(
-        hyper=MaternHyper(amplitude=amp, lengthscale=ell, mean=mu),
-        noise_sd=nsd,
-        half_period=half_period,
-    )
+    return GpFit(hyper=MaternHyper(amplitude=amp, lengthscale=ell, mean=mu), noise_sd=nsd)

@@ -13,8 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import OdeModel
-
 __all__ = ["Trajectory", "IntegrationError", "integrate_rk45", "solve_peak"]
 
 # Dormand-Prince coefficients (Hairer, Norsett & Wanner tableau).
@@ -50,7 +48,6 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-    model_name: str = ""
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -80,16 +77,15 @@ def _hermite_eval(t, t0, t1, y0, y1, f0, f1):
 
 
 def integrate_rk45(
-    model: OdeModel | Callable,
+    rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     x0: np.ndarray,
     params: np.ndarray,
     eval_times: np.ndarray,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate the model from eval_times[0] and report states at eval_times.
+    """Integrate x' = rhs(x, params, t) from eval_times[0]; states at eval_times.
 
-    ``model`` may be an OdeModel or a bare rhs callable f(x, theta, t).
     Deterministic for fixed inputs; raises IntegrationError on step-size
     underflow, carrying the last reached time.
     """
@@ -98,8 +94,6 @@ def integrate_rk45(
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.ndim != 1 or eval_times.size < 1 or np.any(np.diff(eval_times) <= 0):
         raise ValueError("eval_times must be strictly increasing")
-    rhs = model.rhs if isinstance(model, OdeModel) else model
-    name = model.name if isinstance(model, OdeModel) else ""
     params = np.asarray(params, dtype=float)
 
     x = np.array(x0, dtype=float).ravel()
@@ -109,7 +103,7 @@ def integrate_rk45(
     out[0] = x
     next_eval = 1
     if eval_times.size == 1:
-        return Trajectory(times=eval_times, values=out, model_name=name)
+        return Trajectory(times=eval_times, values=out)
 
     f = np.asarray(rhs(x, params, t), dtype=float)
     if not np.all(np.isfinite(f)):
@@ -162,17 +156,17 @@ def integrate_rk45(
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    return Trajectory(times=eval_times, values=out[: eval_times.size], model_name=name)
+    return Trajectory(times=eval_times, values=out[: eval_times.size])
 
 
 def solve_peak(
-    model: OdeModel | Callable,
+    rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     x0: np.ndarray,
     params: np.ndarray,
     horizon: tuple[float, float],
-    grid_step: float = 0.0375,
-    component: int = 1,
-    value_transform: Callable[[np.ndarray], np.ndarray] | None = None,
+    grid_step: float,
+    component: int,
+    value_transform: Callable[[np.ndarray], np.ndarray] | None,
 ) -> tuple[float, float]:
     """Argmax and max of one trajectory component over a uniform grid.
 
@@ -184,7 +178,7 @@ def solve_peak(
     t0, t1 = horizon
     n = int(round((t1 - t0) / grid_step)) + 1
     times = t0 + (t1 - t0) * np.arange(n) / (n - 1)
-    traj = integrate_rk45(model, x0, params, times)
+    traj = integrate_rk45(rhs, x0, params, times)
     vals = traj.component(component)
     if value_transform is not None:
         vals = value_transform(vals)

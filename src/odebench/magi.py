@@ -122,7 +122,7 @@ class MagiProblem:
         grid: DiscretizationGrid,
         observations: ObservationSet,
         kernels: list[GpKernelMats],
-        noise_sd_init: dict[int, float] | None = None,
+        noise_sd_init: dict[int, float],
     ):
         if len(kernels) != model.state_dim:
             raise ValueError("need one kernel bundle per state component")
@@ -136,7 +136,7 @@ class MagiProblem:
         self.observations = observations
         self.kernels = kernels
         self.observed = observations.observed_components()
-        self.noise_sd_init = dict(noise_sd_init or {})
+        self.noise_sd_init = dict(noise_sd_init)
 
         m_sz = grid.size
         d = model.state_dim
@@ -549,10 +549,10 @@ class PosteriorSamples:
             draws=np.fromfile(f"{prefix}.bin", dtype=np.float64).reshape(
                 meta["n_samples"], meta["dim"]),
             seed=meta["seed"],
-            config_hash=meta.get("config_hash", ""),
-            flags=tuple(meta.get("flags", ())),
-            step_size=meta.get("step_size", float("nan")),
-            divergence_count=meta.get("divergence_count", 0),
+            config_hash=meta["config_hash"],
+            flags=tuple(meta["flags"]),
+            step_size=meta["step_size"],
+            divergence_count=meta["divergence_count"],
         )
 
 
@@ -566,7 +566,7 @@ DIVERGENCE_WARN_RATE = 0.25
 def _initial_log_sigma(problem: MagiProblem) -> np.ndarray:
     vals = []
     for c in problem.observed:
-        sd = problem.noise_sd_init.get(c, 0.1)
+        sd = problem.noise_sd_init[c]
         vals.append(math.log(min(max(sd, 2e-6), 5e2)))
     return np.array(vals)
 
@@ -664,7 +664,7 @@ def _continue_past(model: OdeModel, x_head: np.ndarray, theta: np.ndarray,
     x = np.empty((times.size, model.state_dim))
     x[:n_head] = x_head
     try:
-        x[n_head:] = integrate_rk45(model, x_head[-1], theta, times[n_head - 1:]).values[1:]
+        x[n_head:] = integrate_rk45(model.rhs, x_head[-1], theta, times[n_head - 1:]).values[1:]
         return x, True
     except IntegrationError:
         x[n_head:] = x_head[-1]
@@ -675,7 +675,8 @@ def fit_magi(
     model: OdeModel,
     times: np.ndarray,
     observations: ObservationSet,
-    use_fourier_prior: bool = False,
+    *,
+    use_fourier_prior: bool,
     n_warmup: int = 3000,
     n_samples: int = 3000,
     seed: int = 0,
@@ -693,7 +694,8 @@ def forecast_extended_grid(
     full_times: np.ndarray,
     n_insample: int,
     observations: ObservationSet,
-    use_fourier_prior: bool = False,
+    *,
+    use_fourier_prior: bool,
     n_warmup: int = 3000,
     n_samples: int = 3000,
     seed: int = 0,
@@ -722,7 +724,8 @@ def forecast_sequential(
     n_insample: int,
     points_per_step: int,
     observations: ObservationSet,
-    use_fourier_prior: bool = True,
+    *,
+    use_fourier_prior: bool,
     n_warmup: int = 3000,
     n_samples: int = 3000,
     seed: int = 0,

@@ -61,7 +61,7 @@ class MlpNet:
     def normalize(self, t: np.ndarray) -> np.ndarray:
         return 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo) - 1.0
 
-    def to_json(self, path=None) -> str:
+    def to_json(self, path) -> None:
         payload = {
             "widths": self.widths,
             "t_lo": self.t_lo,
@@ -69,19 +69,13 @@ class MlpNet:
             "weights": [w.ravel().tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
-        text = json.dumps(payload)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
 
     @classmethod
-    def from_json(cls, text_or_path) -> "MlpNet":
-        try:
-            payload = json.loads(text_or_path)
-        except (ValueError, TypeError):
-            with open(text_or_path) as fh:
-                payload = json.load(fh)
+    def from_json(cls, path) -> "MlpNet":
+        with open(path) as fh:
+            payload = json.load(fh)
         widths = payload["widths"]
         weights, biases = [], []
         for i in range(len(widths) - 1):
@@ -162,16 +156,12 @@ def _dual_forward(net: MlpNet, t: np.ndarray, sweep: _Sweep) -> None:
             np.multiply(phi, zdot, out=tangents[l + 1])
 
 
-def forward_with_time_derivative(net: MlpNet, t) -> tuple[np.ndarray, np.ndarray]:
-    """N(t) and dN/dt; scalar t yields (D,) vectors, vector t yields (M, D)."""
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+def forward_with_time_derivative(net: MlpNet, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N(t) and dN/dt, each (M, D), at the M times of the vector t."""
+    t = np.asarray(t, dtype=float)
     sweep = _Sweep(net.widths, t.size)
     _dual_forward(net, t, sweep)
-    n, v = sweep.acts[-1], sweep.tangents[-1]
-    if scalar:
-        return n[0], v[0]
-    return n, v
+    return sweep.acts[-1], sweep.tangents[-1]
 
 
 def _backward_dual(net: MlpNet, sweep: _Sweep, abar, vbar, grads_w, grads_b) -> None:

@@ -33,19 +33,17 @@ __all__ = [
 ]
 
 DIVERGENCE_THRESHOLD = 1000.0  # energy error bound before a transition is abandoned
+TARGET_ACCEPT = 0.8  # acceptance statistic that warmup adapts the step size toward
 
 
 @dataclass(frozen=True)
 class NutsConfig:
     n_warmup: int = 3000
     n_samples: int = 3000
-    target_accept: float = 0.8
     max_tree_depth: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
         if self.max_tree_depth < 1:
             raise ValueError("max_tree_depth must be >= 1")
         if self.n_warmup < 0 or self.n_samples <= 0:
@@ -268,7 +266,7 @@ def nuts_sample(
         n_leapfrog += n_lf
         if m < n_warmup:
             log_eps, log_eps_bar, h_bar = _dual_average(
-                m + 1, da_mu, config.target_accept, accept_stat, h_bar, log_eps_bar)
+                m + 1, da_mu, TARGET_ACCEPT, accept_stat, h_bar, log_eps_bar)
         else:
             i = m - n_warmup
             draws[i] = q

@@ -120,7 +120,7 @@ def _check_kernel_derivatives() -> tuple[bool, str]:
 def _small_seir_problem():
     model = dynamics.get_model("seir-log")
     times = magi.uniform_grid(0.0, 2.0, 21)
-    truth = integrate.integrate_rk45(model, np.log([0.01, 0.01, 0.01]),
+    truth = integrate.integrate_rk45(model.rhs, np.log([0.01, 0.01, 0.01]),
                                      np.array([2.0, 0.2, 0.6]), times)
     rng = np.random.default_rng(3)
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)

@@ -48,7 +48,7 @@ def seir_small():
 
     model = dynamics.get_model("seir-log")
     times = magi.uniform_grid(0.0, 2.0, 21)
-    truth = integrate.integrate_rk45(model, np.log([0.01, 0.01, 0.01]),
+    truth = integrate.integrate_rk45(model.rhs, np.log([0.01, 0.01, 0.01]),
                                      np.array([2.0, 0.2, 0.6]), times)
     rng = np.random.default_rng(3)
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)
@@ -67,7 +67,7 @@ def lorenz_small():
 
     model = dynamics.get_model("lorenz")
     times = magi.uniform_grid(0.0, 1.5, 25)
-    truth = integrate.integrate_rk45(model, np.array([5.0, 5.0, 5.0]),
+    truth = integrate.integrate_rk45(model.rhs, np.array([5.0, 5.0, 5.0]),
                                      np.array([8.0 / 3.0, 28.0, 10.0]), times)
     rng = np.random.default_rng(5)
     values = truth.values[::4] + 0.3 * rng.standard_normal(truth.values[::4].shape)
@@ -85,7 +85,7 @@ def make_missing_e_problem(n_grid=21, seed=3):
 
     model = dynamics.get_model("seir-log")
     times = magi.uniform_grid(0.0, 2.0, n_grid)
-    truth = integrate.integrate_rk45(model, np.log([0.01, 0.01, 0.01]),
+    truth = integrate.integrate_rk45(model.rhs, np.log([0.01, 0.01, 0.01]),
                                      np.array([2.0, 0.2, 0.6]), times)
     rng = np.random.default_rng(seed)
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)

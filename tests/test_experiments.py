@@ -72,6 +72,8 @@ def test_seir_r0_truth():
     assert r0 == pytest.approx(10.0)
     assert 6.0 < peak_t <= 12.0
     assert 0 < peak_v < 1
+    with pytest.raises(ValueError, match="no peak component"):
+        E.regime_truth_qoi(E.get_regime("lorenz-forecast"))
 
 
 def test_missing_e_masks_component():
@@ -178,15 +180,15 @@ def test_quantities_of_interest():
     times = np.linspace(0, 12, 101)
     logi = -((times - 8.0) ** 2) / 4.0  # peak at t=8
     vals = np.column_stack([np.zeros_like(times), logi, np.zeros_like(times)])
-    qoi = E.quantities_of_interest(theta, Trajectory(times=times, values=vals))
+    qoi = E.quantities_of_interest(theta, Trajectory(times=times, values=vals),
+                                   peak_component=1, value_transform=np.exp)
     assert qoi.r0 == pytest.approx(10.0)
     assert qoi.peak_time == pytest.approx(8.04, abs=0.2)
-    assert not qoi.peak_at_boundary
 
     rising = np.column_stack([times, times, times])
-    qoi2 = E.quantities_of_interest(theta, Trajectory(times=times, values=rising))
+    qoi2 = E.quantities_of_interest(theta, Trajectory(times=times, values=rising),
+                                    peak_component=1, value_transform=np.exp)
     assert qoi2.peak_time == pytest.approx(12.0)
-    assert qoi2.peak_at_boundary
 
 
 def test_mechanistic_fidelity_on_truth_and_flatline():
@@ -390,6 +392,25 @@ def test_run_single_magi_forecast_protocols(tmp_path, make_regime):
     meta = json.loads(sidecar.read_text())
     assert meta["grid_size"] == regime.n_grid_total
     assert meta["config_hash"] == manifest["config_hash"] != ""
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("make_regime, n_fits", [(tiny_regime, 3), (lorenz_forecast_small, 9)],
+                         ids=["extended", "sequential"])
+def test_every_forecast_gp_fit_takes_the_regime_prior(monkeypatch, make_regime, n_fits):
+    """Every GP fit of a forecast, the sequential refits included, gets
+    ``use_fourier_prior == regime.fourier_prior`` from run_single."""
+    regime = make_regime()
+    original = magi.gp_smooth_fit
+    seen = []
+
+    def recording_fit(*args, use_fourier_prior, **kwargs):
+        seen.append(use_fourier_prior)
+        return original(*args, use_fourier_prior=use_fourier_prior, **kwargs)
+
+    monkeypatch.setattr(magi, "gp_smooth_fit", recording_fit)
+    E.run_single(regime, "magi", FORECAST_MAGI, replicate=0, base_seed=4, forecast=True)
+    assert seen == [regime.fourier_prior] * n_fits
 
 
 def _sequential_inputs():

@@ -21,3 +21,26 @@ def test_package_and_star_imports_in_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_trace_hooks_rebind_every_name_and_restore_it(tmp_path, monkeypatch):
+    """Every name the benchmark's tracer rebinds exists, and uninstall puts it back."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+    tracing = importlib.import_module("tracing")
+    modules = {name: importlib.import_module(f"odebench.{name}")
+               for name in ("experiments", "integrate", "magi", "pinn")}
+    owners = ([(modules[mod], attr) for mod, attr, _ in tracing.PATCH_POINTS]
+              + [(getattr(modules[mod], cls), meth) for mod, cls, meth in tracing.SAVE_POINTS]
+              + [(modules["magi"], "nuts_sample"), (modules["experiments"], "run_single")])
+    before = [getattr(owner, attr) for owner, attr in owners]
+
+    undo = tracing.install(tracing.Tracer(str(tmp_path)))
+    try:
+        assert len(undo) == len(owners)
+        for (owner, attr), original in zip(owners, before):
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracing.uninstall(undo)
+    for (owner, attr), original in zip(owners, before):
+        assert getattr(owner, attr) is original, attr

@@ -41,7 +41,7 @@ def test_lorenz_matches_half_step_rk4_oracle():
     theta = np.array([8.0 / 3.0, 28.0, 10.0])
     x0 = np.array([5.0, 5.0, 5.0])
     times = np.linspace(0.0, 2.0, 81)
-    traj = integrate_rk45(model, x0, theta, times)
+    traj = integrate_rk45(model.rhs, x0, theta, times)
     # Independent oracle: fixed-step RK4 refined until the full-step and
     # half-step runs agree well below the comparison tolerance; the
     # half-step member is the reference.
@@ -57,13 +57,13 @@ def test_seir_infectious_peak_is_in_forecast_window():
     x0 = np.log([0.001, 0.001, 0.001])
     # Peak searched on a horizon extending past the forecast window so a
     # boundary argmax cannot masquerade as the true maximum.
-    peak_t, peak_v = solve_peak(model, x0, theta, horizon=(0.0, 14.0),
+    peak_t, peak_v = solve_peak(model.rhs, x0, theta, horizon=(0.0, 14.0),
                                 grid_step=0.0375, component=1, value_transform=np.exp)
     assert 6.0 < peak_t <= 12.0
     assert 0.0 < peak_v < 1.0
     # In-sample I(t) is still rising at the end of the observation window.
     times = np.linspace(0.0, 6.0, 41)
-    traj = integrate_rk45(model, x0, theta, times)
+    traj = integrate_rk45(model.rhs, x0, theta, times)
     i_lin = np.exp(traj.values[:, 1])
     assert i_lin[-1] > i_lin[-2]
 
@@ -80,9 +80,9 @@ def test_solve_peak_grid_refinement_consistency():
     model = get_model("seir-log")
     theta = np.array([2.0, 0.2, 0.6])
     x0 = np.log([0.001, 0.001, 0.001])
-    t1, _ = solve_peak(model, x0, theta, (0.0, 12.0), grid_step=0.0375,
+    t1, _ = solve_peak(model.rhs, x0, theta, (0.0, 12.0), grid_step=0.0375,
                        component=1, value_transform=np.exp)
-    t2, _ = solve_peak(model, x0, theta, (0.0, 12.0), grid_step=0.01875,
+    t2, _ = solve_peak(model.rhs, x0, theta, (0.0, 12.0), grid_step=0.01875,
                        component=1, value_transform=np.exp)
     assert abs(t1 - t2) < 0.0375
 
@@ -104,9 +104,9 @@ def test_tolerance_halving_consistency():
     model = get_model("lorenz")
     theta = np.array([8.0 / 3.0, 28.0, 10.0])
     times = np.linspace(0.0, 1.0, 21)
-    coarse = integrate_rk45(model, [5.0, 5.0, 5.0], theta, times,
+    coarse = integrate_rk45(model.rhs, [5.0, 5.0, 5.0], theta, times,
                             rel_tol=1e-6, abs_tol=1e-8)
-    fine = integrate_rk45(model, [5.0, 5.0, 5.0], theta, times,
+    fine = integrate_rk45(model.rhs, [5.0, 5.0, 5.0], theta, times,
                           rel_tol=5e-7, abs_tol=5e-9)
     assert np.max(np.abs(coarse.values - fine.values)) < 10 * 1e-6 * np.max(np.abs(fine.values))
 
@@ -115,8 +115,8 @@ def test_determinism_bit_identical():
     model = get_model("lorenz")
     theta = np.array([8.0 / 3.0, 28.0, 10.0])
     times = np.linspace(0.0, 8.0, 321)
-    a = integrate_rk45(model, [5.0, 5.0, 5.0], theta, times)
-    b = integrate_rk45(model, [5.0, 5.0, 5.0], theta, times)
+    a = integrate_rk45(model.rhs, [5.0, 5.0, 5.0], theta, times)
+    b = integrate_rk45(model.rhs, [5.0, 5.0, 5.0], theta, times)
     assert np.array_equal(a.values, b.values)
 
 

@@ -199,7 +199,7 @@ def test_init_gradient_matching_on_clean_lorenz():
     model = get_model("lorenz")
     theta_true = np.array([8.0 / 3.0, 28.0, 10.0])
     times = magi.uniform_grid(0.0, 2.0, 161)
-    truth = integrate.integrate_rk45(model, np.array([5.0, 5.0, 5.0]), theta_true, times)
+    truth = integrate.integrate_rk45(model.rhs, np.array([5.0, 5.0, 5.0]), theta_true, times)
     obs = ObservationSet(times=times, values=truth.values, mask=(True, True, True))
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(model, grid, obs, n_iter=4000)
@@ -335,8 +335,8 @@ def test_extended_forecast_keeps_every_init_flag(monkeypatch):
     monkeypatch.setattr(magi, "_continue_past",
                         lambda *args: (real_continue(*args)[0], False))
     post = magi.forecast_extended_grid(regime.model(), regime.master_times(),
-                                       regime.n_grid_insample, obs, n_warmup=5,
-                                       n_samples=5, seed=0, init_budget=50)
+                                       regime.n_grid_insample, obs, use_fourier_prior=False,
+                                       n_warmup=5, n_samples=5, seed=0, init_budget=50)
     assert post.flags[:2] == ("init-fallback-constant", "forecast-init-constant")
 
 
@@ -345,10 +345,11 @@ def test_gp_fit_flag_reaches_the_run():
     """A flat observed component makes its GP fit flag; the run carries it."""
     model = get_model("lorenz")
     times = magi.uniform_grid(0.0, 1.0, 11)
-    truth = integrate.integrate_rk45(model, np.array([5.0, 5.0, 5.0]),
+    truth = integrate.integrate_rk45(model.rhs, np.array([5.0, 5.0, 5.0]),
                                      np.array([8.0 / 3.0, 28.0, 10.0]), times)
     values = truth.values.copy()
     values[:, 2] = 3.0
     obs = ObservationSet(times=times, values=values, mask=(True, True, True))
-    post = magi.fit_magi(model, times, obs, n_warmup=10, n_samples=10, seed=0, init_budget=50)
+    post = magi.fit_magi(model, times, obs, use_fourier_prior=False, n_warmup=10, n_samples=10,
+                         seed=0, init_budget=50)
     assert "degenerate-flat-data" in post.flags

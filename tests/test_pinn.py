@@ -26,10 +26,10 @@ def test_single_unit_closed_form():
         t_lo=-1.0, t_hi=1.0,  # identity normalization
     )
     for t in (-0.8, 0.0, 0.3, 0.9):
-        n, v = pinn.forward_with_time_derivative(net, t)
+        n, v = pinn.forward_with_time_derivative(net, np.array([t]))
         inner = np.tanh(0.7 * t + 0.2)
-        assert abs(n[0] - (1.3 * inner - 0.5)) < 1e-12
-        assert abs(v[0] - 1.3 * 0.7 * (1 - inner**2)) < 1e-12
+        assert abs(n[0, 0] - (1.3 * inner - 0.5)) < 1e-12
+        assert abs(v[0, 0] - 1.3 * 0.7 * (1 - inner**2)) < 1e-12
 
 
 def test_time_derivative_matches_fd():
@@ -38,9 +38,9 @@ def test_time_derivative_matches_fd():
     ts = rng.uniform(0.0, 6.0, size=50)
     h = 1e-6
     for t in ts:
-        _, v = pinn.forward_with_time_derivative(net, t)
-        np_, _ = pinn.forward_with_time_derivative(net, t + h)
-        nm, _ = pinn.forward_with_time_derivative(net, t - h)
+        _, v = pinn.forward_with_time_derivative(net, np.array([t]))
+        np_, _ = pinn.forward_with_time_derivative(net, np.array([t + h]))
+        nm, _ = pinn.forward_with_time_derivative(net, np.array([t - h]))
         fd = (np_ - nm) / (2 * h)
         assert rel_err(v, fd, floor=1e-4) < 1e-6
 
@@ -51,9 +51,9 @@ def test_normalization_jacobian_factor():
     b = [np.array([0.1]), np.array([0.0])]
     narrow = pinn.MlpNet([v.copy() for v in w], [v.copy() for v in b], 0.0, 1.0)
     wide = pinn.MlpNet([v.copy() for v in w], [v.copy() for v in b], 0.0, 4.0)
-    _, v_narrow = pinn.forward_with_time_derivative(narrow, 0.5)
-    _, v_wide = pinn.forward_with_time_derivative(wide, 2.0)  # same normalized point
-    assert v_narrow[0] == pytest.approx(4.0 * v_wide[0], rel=1e-12)
+    _, v_narrow = pinn.forward_with_time_derivative(narrow, np.array([0.5]))
+    _, v_wide = pinn.forward_with_time_derivative(wide, np.array([2.0]))  # same normalized point
+    assert v_narrow[0, 0] == pytest.approx(4.0 * v_wide[0, 0], rel=1e-12)
 
 
 def _toy_data(model, times, seed=0, missing=()):

@@ -183,8 +183,6 @@ def test_step_size_probe_on_a_stiff_target_does_not_warn():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NutsConfig(target_accept=1.5)
-    with pytest.raises(ValueError):
         NutsConfig(max_tree_depth=0)
     with pytest.raises(ValueError):
         NutsConfig(n_samples=0)
