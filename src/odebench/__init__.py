@@ -6,7 +6,6 @@ from .experiments import (
     RegimeSpec,
     builtin_regimes,
     compute_rmse,
-    coverage_report,
     get_regime,
     mechanistic_fidelity,
     quantities_of_interest,

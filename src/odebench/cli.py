@@ -147,7 +147,11 @@ def infer(ctx, regime_name, method, lam, epochs, layers, warmup, samples,
               help="Where to write the aggregated table [default: <out>/summary.csv]")
 @click.pass_context
 def report(ctx, results_path, out, summary_csv):
-    """Aggregate metric rows into boxplot statistics per method and metric."""
+    """Aggregate metric rows into boxplot statistics per method and metric.
+
+    ci_hit rows give the interval coverage (their mean) instead, printed
+    beside the published coverage where the regime has one.
+    """
     path = results_path or os.path.join(out, "results.csv")
     if os.path.isdir(path):
         path = os.path.join(path, "results.csv")
@@ -172,16 +176,23 @@ def report(ctx, results_path, out, summary_csv):
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["regime", "method", "lambda", "component_or_parameter",
-                         "metric_name", "n", "min", "q1", "median", "q3", "max"])
+                         "metric_name", "n", "mean", "min", "q1", "median", "q3", "max"])
         for key in sorted(groups):
             vals = np.asarray(groups[key])
-            q = np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0])
-            writer.writerow(list(key) + [vals.size] + [f"{v:.17g}" for v in q])
+            # ci_hit is 0 or 1 per run: its mean is the coverage, its quantiles say nothing.
+            q = [""] * 5 if key[4] == "ci_hit" else \
+                [f"{v:.17g}" for v in np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0])]
+            writer.writerow(list(key) + [vals.size, f"{vals.mean():.17g}"] + q)
     click.echo(f"wrote {out_path}")
     for key in sorted(groups):
         vals = np.asarray(groups[key])
         label = "/".join(k for k in key if k)
-        click.echo(f"{label}: n={vals.size} median={np.median(vals):.6g}")
+        if key[4] == "ci_hit":
+            published = experiments.REFERENCE_COVERAGE.get(key[0], {}).get(key[3])
+            click.echo(f"{label}: n={vals.size} coverage={vals.mean():.6g}"
+                       + (f" published={published:g}" if published is not None else ""))
+        else:
+            click.echo(f"{label}: n={vals.size} median={np.median(vals):.6g}")
 
 
 @main.command()

@@ -48,7 +48,6 @@ __all__ = [
     "QuantitiesOfInterest",
     "quantities_of_interest",
     "mechanistic_fidelity",
-    "coverage_report",
     "run_study",
     "run_single",
     "StudyResult",
@@ -97,6 +96,11 @@ class RegimeSpec:
 
     def model(self) -> OdeModel:
         return get_model(self.model_name)
+
+    @property
+    def peak_value_transform(self):
+        """Map from a stored component to the scale its peak is read on (None: as stored)."""
+        return np.exp if self.metric_space == "log" else None
 
     @property
     def forecast_protocol(self) -> str | None:
@@ -285,10 +289,10 @@ def regime_truth_qoi(regime: RegimeSpec) -> tuple[float, float, float]:
     r0 = regime.theta_true[0] / regime.theta_true[1]
     master = regime.master_times()
     step = (master[1] - master[0]) / 4.0
-    transform = np.exp if regime.metric_space == "log" else None
     pt, pv = solve_peak(regime.model().rhs, np.array(regime.x0), np.array(regime.theta_true),
                         horizon=(master[0], master[-1]), grid_step=step,
-                        component=regime.peak_component, value_transform=transform)
+                        component=regime.peak_component,
+                        value_transform=regime.peak_value_transform)
     return r0, pt, pv
 
 
@@ -344,18 +348,6 @@ def mechanistic_fidelity(
     resid = deriv_hat - model.rhs(np.asarray(x_hat, dtype=float),
                                   np.asarray(theta_hat, dtype=float), times)
     return np.sqrt(np.mean(resid * resid, axis=0))
-
-
-def coverage_report(intervals, theta_true) -> np.ndarray:
-    """Fraction of replicates whose 95% interval contains each true parameter."""
-    intervals = [np.asarray(iv, dtype=float) for iv in intervals]
-    if len(intervals) < 2:
-        raise ValueError("coverage needs at least 2 replicates")
-    theta_true = np.asarray(theta_true, dtype=float)
-    hits = np.stack([
-        (iv[:, 0] <= theta_true) & (theta_true <= iv[:, 1]) for iv in intervals
-    ])
-    return hits.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +499,9 @@ def run_single(
             add(comp, "rmse_forecast", rmse_fc[c])
         if regime.peak_component is not None:
             r0_true, pt_true, pv_true = regime_truth_qoi(regime)
-            transform = np.exp if regime.metric_space == "log" else None
             qoi = quantities_of_interest(theta_hat, est,
                                          peak_component=regime.peak_component,
-                                         value_transform=transform)
+                                         value_transform=regime.peak_value_transform)
             add("R0", "abs_error_R0", abs(qoi.r0 - r0_true))
             add("peak_time", "abs_error_peak_time", abs(qoi.peak_time - pt_true))
             add("peak_intensity", "abs_error_peak_intensity",

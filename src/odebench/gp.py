@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize import Bounds, minimize
 from scipy.special import gammaln, kv
-
-from .optim import Adam
 
 __all__ = [
     "MATERN_NU",
@@ -51,7 +50,7 @@ MATERN_NU = 2.01
 
 DDK_JITTER = 1e-6  # absolute diagonal perturbation on K'' before forming C
 K_JITTER_BASE = 1e-7  # relative (times amplitude^2) retry jitter on K
-FIT_LR = 0.01  # Adam step of the hyperparameter fit
+NOISE_FLOOR_FRACTION = 0.1  # noise_sd lower bound, as a fraction of the difference-based estimate
 N_INTERP = 512  # points of the linear interpolation dominant_half_period transforms
 
 
@@ -353,18 +352,52 @@ def _fit_objective(p: np.ndarray, data: _FitData) -> tuple[float, np.ndarray]:
     return obj, g
 
 
+def _difference_noise_sd(t: np.ndarray, y: np.ndarray) -> float:
+    """Noise sd from second-difference pseudo-residuals (Gasser, Sroka and
+    Jennen-Steinmetz 1986, Biometrika 73:625).
+
+    Each interior point is compared with the straight line through its two
+    neighbours; the weights a_i, b_i of that line and the scale
+    c_i^2 = 1 / (a_i^2 + b_i^2 + 1) make every pseudo-residual an unbiased
+    estimate of the noise variance under uneven spacing, up to the curvature
+    of the signal.  Data on a straight line give 0.
+    """
+    h_lo = t[1:-1] - t[:-2]
+    h_hi = t[2:] - t[1:-1]
+    a = h_hi / (h_lo + h_hi)
+    b = h_lo / (h_lo + h_hi)
+    resid = a * y[:-2] + b * y[2:] - y[1:-1]
+    return math.sqrt(float(np.mean(resid * resid / (a * a + b * b + 1.0))))
+
+
+def _fit_bounds(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of gp_smooth_fit's parameters (see its docstring)."""
+    span = t[-1] - t[0]
+    sd = float(np.std(y))
+    noise_floor = max(1e-6 * sd, NOISE_FLOOR_FRACTION * _difference_noise_sd(t, y))
+    lo = np.array([math.log(1e-4 * sd), math.log(float(np.min(np.diff(t)))), -np.inf,
+                   math.log(noise_floor)])
+    hi = np.array([math.log(1e4 * sd), math.log(10.0 * span), np.inf, math.log(10.0 * sd)])
+    return lo, hi
+
+
 def gp_smooth_fit(
     obs_times: np.ndarray,
     obs_values: np.ndarray,
     use_fourier_prior: bool = False,
-    n_iter: int = 1500,
 ) -> GpFit:
     """Fit Matern hyperparameters and a noise scale by marginal likelihood.
 
-    Adam runs on log-scale (amplitude, lengthscale, noise_sd) plus the raw
-    constant mean, projected into box bounds after every step; convergence
-    is declared early once the objective moves less than 1e-8 over 50
-    iterations.
+    One bounded L-BFGS-B solve of _fit_objective over log-scale (amplitude,
+    lengthscale, noise_sd) and the raw constant mean, from a start clipped
+    into the box.  The box holds the amplitude within 1e-4..1e4 sample sd,
+    the lengthscale between the smallest spacing and 10 spans, and noise_sd
+    below 10 sample sd and above NOISE_FLOOR_FRACTION of
+    _difference_noise_sd (or 1e-6 sample sd, if larger), which keeps the fit
+    from explaining all of a chaotic signal's noise as signal.  The solver's
+    own convergence status is not checked: on smooth, noise-free data the
+    optimum sits on a bound and the line search may end abnormally there.
+    Raises GpFitError when the objective or its gradient ends non-finite.
     """
     t = np.asarray(obs_times, dtype=float)
     y = np.asarray(obs_values, dtype=float)
@@ -378,25 +411,16 @@ def gp_smooth_fit(
         return GpFit(hyper=hyper, noise_sd=1e-8, flag="degenerate-flat-data")
 
     half_period = dominant_half_period(t, y) if use_fourier_prior else None
-
-    lo = np.array([math.log(1e-4 * sd), math.log(spacing), -np.inf, math.log(1e-6 * sd)])
-    hi = np.array([math.log(1e4 * sd), math.log(10.0 * span), np.inf, math.log(10.0 * sd)])
-    params = np.array([math.log(sd), math.log(min(max(span / 10.0, spacing), 10.0 * span)),
-                       float(np.mean(y)), math.log(max(0.1 * sd, 1e-8))])
+    lo, hi = _fit_bounds(t, y)
+    p0 = np.array([math.log(sd), math.log(min(max(span / 10.0, spacing), 10.0 * span)),
+                   float(np.mean(y)), math.log(max(0.1 * sd, 1e-8))])
 
     data = _FitData.build(t, y, half_period)
-    adam = Adam(params, lr=FIT_LR)
-    history = []
-    for it in range(n_iter):
-        obj, grad = _fit_objective(params, data)
-        if not (math.isfinite(obj) and np.isfinite(grad).all()):
-            raise GpFitError("non-finite marginal-likelihood objective during fit")
-        history.append(obj)
-        if it >= 50 and abs(history[-1] - history[-51]) < 1e-8:
-            break
-        adam.step(params, grad)
-        np.maximum(params, lo, out=params)
-        np.minimum(params, hi, out=params)
+    res = minimize(_fit_objective, np.clip(p0, lo, hi), args=(data,), jac=True,
+                   method="L-BFGS-B", bounds=Bounds(lo, hi))
+    if not (math.isfinite(res.fun) and np.isfinite(res.jac).all()):
+        raise GpFitError("non-finite marginal-likelihood objective at the end of the fit")
 
-    amp, ell, mu, nsd = math.exp(params[0]), math.exp(params[1]), params[2], math.exp(params[3])
+    amp, ell, mu, nsd = (math.exp(res.x[0]), math.exp(res.x[1]), float(res.x[2]),
+                         math.exp(res.x[3]))
     return GpFit(hyper=MaternHyper(amplitude=amp, lengthscale=ell, mean=mu), noise_sd=nsd)

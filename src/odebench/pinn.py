@@ -72,17 +72,6 @@ class MlpNet:
         with open(path, "w") as fh:
             json.dump(payload, fh)
 
-    @classmethod
-    def from_json(cls, path) -> "MlpNet":
-        with open(path) as fh:
-            payload = json.load(fh)
-        widths = payload["widths"]
-        weights, biases = [], []
-        for i in range(len(widths) - 1):
-            weights.append(np.array(payload["weights"][i]).reshape(widths[i + 1], widths[i]))
-            biases.append(np.array(payload["biases"][i]))
-        return cls(weights=weights, biases=biases, t_lo=payload["t_lo"], t_hi=payload["t_hi"])
-
 
 def init_mlp(widths: list[int], t_lo: float, t_hi: float, seed: int = 0) -> MlpNet:
     """Glorot-uniform weights, zero biases, seeded."""

@@ -126,7 +126,7 @@ def _small_seir_problem():
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)
     obs = ObservationSet(times=times[::4], values=values, mask=(True, True, True))
     grid = magi.DiscretizationGrid.build(times, obs.times)
-    fits = {c: gp.gp_smooth_fit(obs.times, values[:, c], n_iter=200) for c in range(3)}
+    fits = {c: gp.gp_smooth_fit(obs.times, values[:, c]) for c in range(3)}
     return magi.make_problem(model, grid, obs, fits), truth
 
 

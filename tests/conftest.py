@@ -54,7 +54,7 @@ def seir_small():
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)
     obs = ObservationSet(times=times[::4], values=values, mask=(True, True, True))
     grid = magi.DiscretizationGrid.build(times, obs.times)
-    fits = {c: gp.gp_smooth_fit(obs.times, values[:, c], n_iter=300) for c in range(3)}
+    fits = {c: gp.gp_smooth_fit(obs.times, values[:, c]) for c in range(3)}
     problem = magi.make_problem(model, grid, obs, fits)
     return {"model": model, "times": times, "truth": truth, "obs": obs,
             "grid": grid, "fits": fits, "problem": problem}
@@ -73,7 +73,7 @@ def lorenz_small():
     values = truth.values[::4] + 0.3 * rng.standard_normal(truth.values[::4].shape)
     obs = ObservationSet(times=times[::4], values=values, mask=(True, True, True))
     grid = magi.DiscretizationGrid.build(times, obs.times)
-    fits = {c: gp.gp_smooth_fit(obs.times, values[:, c], n_iter=300) for c in range(3)}
+    fits = {c: gp.gp_smooth_fit(obs.times, values[:, c]) for c in range(3)}
     problem = magi.make_problem(model, grid, obs, fits)
     return {"model": model, "times": times, "truth": truth, "obs": obs,
             "grid": grid, "fits": fits, "problem": problem}

@@ -126,6 +126,29 @@ def test_report_aggregates_and_grouping(runner, tmp_path):
     assert int(magi_row["n"]) == 5
 
 
+def test_report_ci_hit_coverage(runner, tmp_path):
+    results = tmp_path / "results.csv"
+    with open(results, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["regime", "method", "lambda", "replicate", "seed",
+                         "component_or_parameter", "metric_name", "value", "flag"])
+        for i, hit in enumerate([1.0, 0.0, 1.0, 1.0]):
+            writer.writerow(["seir-full", "magi", "", i, 100 + i, "beta", "ci_hit", hit, ""])
+            writer.writerow(["lorenz-chaotic", "magi", "", i, 200 + i, "rho", "ci_hit",
+                             1.0 - hit, ""])
+    out_csv = tmp_path / "summary.csv"
+    result = runner.invoke(main, ["report", "--results", str(results),
+                                  "--summary-csv", str(out_csv), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "seir-full/magi/beta/ci_hit: n=4 coverage=0.75 published=0.9" in result.output
+    assert "lorenz-chaotic/magi/rho/ci_hit: n=4 coverage=0.25\n" in result.output
+    with open(out_csv) as fh:
+        rows = {r["regime"]: r for r in csv.DictReader(fh)}
+    assert float(rows["seir-full"]["mean"]) == 0.75
+    assert int(rows["seir-full"]["n"]) == 4
+    assert rows["seir-full"]["median"] == ""
+
+
 def test_report_empty_exit_3(runner, tmp_path):
     result = runner.invoke(main, ["report", "--results", str(tmp_path / "none.csv"),
                                   "--out", str(tmp_path)])

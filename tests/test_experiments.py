@@ -209,15 +209,9 @@ def test_mechanistic_fidelity_on_truth_and_flatline():
     assert np.all(fid_flat < 1e-12)
 
 
-def test_coverage_report():
-    theta = np.array([2.0, 0.2, 0.6])
-    wide = np.array([[-np.inf, np.inf]] * 3)
-    assert np.allclose(E.coverage_report([wide, wide], theta), 1.0)
-    tight_miss = np.array([[5.0, 6.0], [0.19, 0.21], [0.0, 1.0]])
-    cov = E.coverage_report([wide, tight_miss], theta)
-    assert np.allclose(cov, [0.5, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        E.coverage_report([wide], theta)
+def test_peak_value_transform_follows_metric_space():
+    assert E.get_regime("seir-full").peak_value_transform is np.exp
+    assert E.get_regime("lorenz-chaotic").peak_value_transform is None
 
 
 def test_reference_coverage_targets():
@@ -607,8 +601,8 @@ def test_small_study_results_pinned():
                       replicates=2, base_seed=3)
     assert res.failed == 0
     errors = {r[5]: float(r[7]) for r in res.rows if r[3] == 0 and r[6] == "abs_error_theta"}
-    expected = {"beta": 0.07815957249795602, "gamma": 0.013799948665259021,
-                "sigma": 0.1054000225371976}
+    expected = {"beta": 0.07842683606287393, "gamma": 0.013247738820854366,
+                "sigma": 0.10336174545106613}
     assert errors.keys() == expected.keys()
     for name, value in expected.items():
         assert errors[name] == pytest.approx(value, rel=1e-12), name

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from odebench import magi
+from odebench import experiments, magi
 from odebench.gp import (
     MATERN_NU,
     MaternHyper,
     _distinct_lags,
+    _fit_bounds,
     _fit_objective,
     _FitData,
     _matern_lag_terms,
@@ -172,13 +173,56 @@ def test_gp_smooth_fit_white_noise():
     rng = np.random.default_rng(8)
     t = np.linspace(0.0, 4.0, 81)
     y = 3.0 + 0.5 * rng.standard_normal(81)
-    # The degenerate pure-noise corner converges slowly; give the optimizer
-    # enough budget to actually reach the optimum the claim is about.
-    fit = gp_smooth_fit(t, y, n_iter=6000)
-    spacing = t[1] - t[0]
-    assert fit.hyper.lengthscale <= spacing * 1.05  # pinned at the lower bound
+    fit = gp_smooth_fit(t, y)
+    # Pure noise: the fit explains the data as noise, not as signal.
+    assert fit.hyper.amplitude < 0.5 * fit.noise_sd
     sample_sd = float(np.std(y))
     assert abs(fit.noise_sd - sample_sd) < 0.2 * sample_sd
+
+
+def _fitted_params(fit):
+    return np.array([math.log(fit.hyper.amplitude), math.log(fit.hyper.lengthscale),
+                     fit.hyper.mean, math.log(fit.noise_sd)])
+
+
+@pytest.mark.parametrize("use_fourier_prior", [False, True])
+def test_gp_smooth_fit_is_stationary_in_its_box(use_fourier_prior):
+    rng = np.random.default_rng(12)
+    t = np.linspace(0.0, 4.0, 41)
+    y = 1.5 * np.sin(2.0 * np.pi * t / 1.6) + 0.2 * rng.standard_normal(41)
+    fit = gp_smooth_fit(t, y, use_fourier_prior=use_fourier_prior)
+    half_period = dominant_half_period(t, y) if use_fourier_prior else None
+    p = _fitted_params(fit)
+    _, g = _fit_objective(p, _FitData.build(t, y, half_period))
+    lo, hi = _fit_bounds(t, y)
+    # A coordinate on a bound may keep the part of its gradient that points
+    # out of the box; any other gradient must vanish.
+    at_lo = np.isclose(p, lo, rtol=0.0, atol=1e-8)
+    at_hi = np.isclose(p, hi, rtol=0.0, atol=1e-8)
+    inward = np.where(at_lo, np.maximum(-g, 0.0), np.where(at_hi, np.maximum(g, 0.0), np.abs(g)))
+    assert np.all(inward <= 1e-3), (p, g)
+
+
+def _regime_fits(name):
+    regime = experiments.get_regime(name)
+    data = experiments.simulate_dataset(regime, experiments.dataset_seed(0, regime, 0))
+    true_sd = np.array(data.noise_spec["per_component_sd"])
+    for c in range(data.values.shape[1]):
+        t, y = data.times, data.values[:, c]
+        yield gp_smooth_fit(t, y, use_fourier_prior=regime.fourier_prior), true_sd[c], t, y
+
+
+def test_lorenz_noise_estimates_stay_near_the_truth():
+    # Without a noise floor the fit collapses noise_sd to about 1e-3 of the truth.
+    for fit, true_sd, _, _ in _regime_fits("lorenz-chaotic"):
+        assert true_sd / 3.0 <= fit.noise_sd <= 3.0 * true_sd
+
+
+def test_noise_floor_does_not_bind_on_seir():
+    for fit, true_sd, t, y in _regime_fits("seir-full"):
+        lo, _ = _fit_bounds(t, y)
+        assert math.log(fit.noise_sd) > lo[3] + 0.1
+        assert true_sd / 2.0 <= fit.noise_sd <= 2.0 * true_sd
 
 
 def test_fourier_prior_only_shrinks_lengthscale(lorenz_small):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -274,13 +276,17 @@ def test_config_validation():
 
 def test_network_json_roundtrip(tmp_path):
     net = pinn.init_mlp([1, 20, 20, 20, 3], 0.0, 6.0, seed=4)
+    net.biases[1][:] = np.linspace(-1.0, 1.0, 20)
     path = tmp_path / "net.json"
     net.to_json(path)
-    back = pinn.MlpNet.from_json(str(path))
-    assert back.widths == [1, 20, 20, 20, 3]
-    for wa, wb in zip(net.weights, back.weights):
-        assert np.array_equal(wa, wb)
-    assert back.t_hi == 6.0
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["widths"] == [1, 20, 20, 20, 3]
+    assert payload["t_lo"] == 0.0 and payload["t_hi"] == 6.0
+    for w, saved in zip(net.weights, payload["weights"], strict=True):
+        assert np.array_equal(w, np.array(saved).reshape(w.shape))
+    for b, saved in zip(net.biases, payload["biases"], strict=True):
+        assert np.array_equal(b, np.array(saved))
 
 
 def test_history_csv(tmp_path):
