@@ -8,8 +8,9 @@ installation can validate its numerical kernels without pytest.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from . import dynamics, gp, integrate, magi, pinn, sampler
+from . import dynamics, experiments, gp, integrate, magi, pinn, sampler
 from .observations import ObservationSet
 
 __all__ = ["central_difference_gradient", "relative_agreement", "run_selfcheck"]
@@ -67,6 +68,17 @@ def _check_dynamics_jacobians() -> tuple[bool, str]:
     return worst < 1e-5, f"max rel err {worst:.2e}"
 
 
+def truth_error_vs_dop853(regime: experiments.RegimeSpec) -> float:
+    """Max |ground_truth(regime) - reference| on the master grid, where the
+    reference is scipy's DOP853 at rtol 1e-13, atol 1e-15."""
+    times = regime.master_times()
+    rhs = regime.model().rhs
+    theta = np.array(regime.theta_true)
+    ref = solve_ivp(lambda t, y: rhs(y, theta, t), (times[0], times[-1]), np.array(regime.x0),
+                    method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+    return float(np.max(np.abs(experiments.ground_truth(regime).values - ref.y.T)))
+
+
 def _check_integrator() -> tuple[bool, str]:
     times = np.linspace(0.0, 1.0, 11)
     traj = integrate.integrate_rk45(lambda x, p, t: -x, np.array([1.0]), np.zeros(1), times)
@@ -74,8 +86,10 @@ def _check_integrator() -> tuple[bool, str]:
     peak_t, _ = integrate.solve_peak(lambda x, p, t: (1.0 - 2.0 * t) * x, np.array([1.0]),
                                      np.zeros(1), horizon=(0.0, 1.0), grid_step=0.001,
                                      component=0, value_transform=None)
-    ok = err1 < 1e-6 and abs(peak_t - 0.5) < 2e-3
-    return ok, f"decay err {err1:.1e}, peak at {peak_t:.3f}"
+    # The truth comes from scipy's RK45, so check it on the installed scipy.
+    err2 = truth_error_vs_dop853(experiments.get_regime("seir-full"))
+    ok = err1 < 1e-6 and abs(peak_t - 0.5) < 2e-3 and err2 < 1e-9
+    return ok, f"decay err {err1:.1e}, peak at {peak_t:.3f}, seir-full truth err {err2:.1e}"
 
 
 def fd_kernel_matrices(hyper, grid: np.ndarray, h: float = 1e-5):

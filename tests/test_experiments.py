@@ -10,6 +10,7 @@ from odebench import experiments as E
 from odebench import magi
 from odebench.integrate import Trajectory
 from odebench.sampler import CompiledTarget
+from odebench.selfcheck import truth_error_vs_dop853
 
 from conftest import tiny_regime
 
@@ -90,6 +91,14 @@ def test_zero_noise_reproduces_truth():
     truth = E.ground_truth(regime)
     obs_rows = np.arange(0, regime.n_grid_insample, regime.obs_stride())
     assert np.allclose(ds.values, truth.values[obs_rows], atol=0)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("seir-full", 1e-9), ("seir-missing-e", 1e-9), ("lorenz-forecast", 1e-6),
+    ("lorenz-chaotic", 1e-4), ("lorenz-stable", 1e-4),
+])
+def test_ground_truth_matches_a_tight_dop853_reference(name, bound):
+    assert truth_error_vs_dop853(E.get_regime(name)) < bound
 
 
 def test_observations_must_subdivide_the_grid():
@@ -601,8 +610,8 @@ def test_small_study_results_pinned():
                       replicates=2, base_seed=3)
     assert res.failed == 0
     errors = {r[5]: float(r[7]) for r in res.rows if r[3] == 0 and r[6] == "abs_error_theta"}
-    expected = {"beta": 0.07842683606287393, "gamma": 0.013247738820854366,
-                "sigma": 0.10336174545106613}
+    expected = {"beta": 0.07842617951644892, "gamma": 0.013247555772038178,
+                "sigma": 0.1033616326598189}
     assert errors.keys() == expected.keys()
     for name, value in expected.items():
         assert errors[name] == pytest.approx(value, rel=1e-12), name
