@@ -13,7 +13,7 @@ from .experiments import (
     simulate_dataset,
 )
 from .gp import GpKernelMats, MaternHyper, build_kernel_mats, gp_smooth_fit, matern_eval
-from .integrate import IntegrationError, Trajectory, integrate_rk45, solve_peak
+from .integrate import IntegrationError, Trajectory, integrate_rk45
 from .magi import (
     DiscretizationGrid,
     MagiProblem,
@@ -24,7 +24,7 @@ from .magi import (
     init_missing_components,
     run_inference,
 )
-from .pinn import MlpNet, PinnConfig, forward_with_time_derivative, pinn_loss, train_pinn
+from .pinn import MlpNet, PinnConfig, PinnLoss, forward_with_time_derivative, train_pinn
 from .sampler import ChainResult, NutsConfig, nuts_sample
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import OdeModel, get_model
-from .integrate import Trajectory, integrate_rk45, solve_peak
+from .integrate import Trajectory, integrate_rk45
 from .magi import (
     DiscretizationGrid,
     PosteriorSamples,
@@ -279,21 +279,18 @@ def simulate_dataset(regime: RegimeSpec, replicate_seed: int) -> ObservationSet:
 
 
 @functools.cache
-def regime_truth_qoi(regime: RegimeSpec) -> tuple[float, float, float]:
-    """(R0, peak time, peak intensity) of the truth, cached per regime.
+def regime_truth_qoi(regime: RegimeSpec) -> QuantitiesOfInterest:
+    """R0 and the peak of the truth, cached per regime.
 
     The peak is taken on a grid 4x finer than the master grid.
     """
     if regime.peak_component is None:
         raise ValueError(f"regime {regime.name} has no peak component")
-    r0 = regime.theta_true[0] / regime.theta_true[1]
     master = regime.master_times()
-    step = (master[1] - master[0]) / 4.0
-    pt, pv = solve_peak(regime.model().rhs, np.array(regime.x0), np.array(regime.theta_true),
-                        horizon=(master[0], master[-1]), grid_step=step,
-                        component=regime.peak_component,
-                        value_transform=regime.peak_value_transform)
-    return r0, pt, pv
+    truth = integrate_rk45(regime.model().rhs, np.array(regime.x0), np.array(regime.theta_true),
+                           uniform_grid(master[0], master[-1], 4 * (master.size - 1) + 1))
+    return quantities_of_interest(regime.theta_true, truth, regime.peak_component,
+                                  regime.peak_value_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +307,7 @@ def compute_rmse(estimate: Trajectory, truth: Trajectory, eval_times: np.ndarray
     return np.sqrt(np.mean((est - tru) ** 2, axis=0))
 
 
-@dataclass(frozen=True)
-class QuantitiesOfInterest:
+class QuantitiesOfInterest(NamedTuple):
     r0: float
     peak_time: float
     peak_intensity: float
@@ -323,7 +319,11 @@ def quantities_of_interest(
     peak_component: int,
     value_transform,
 ) -> QuantitiesOfInterest:
-    """Reproduction number and peak of the estimated infectious curve."""
+    """Reproduction number and peak of an infectious curve, estimated or true.
+
+    ``value_transform`` maps the stored component to the scale the peak is
+    read on (``np.exp`` for log-space states); None reads it as stored.
+    """
     r0 = float(theta_hat[0] / theta_hat[1])
     vals = forecast.component(peak_component)
     if value_transform is not None:
@@ -498,14 +498,14 @@ def run_single(
         for c, comp in enumerate(model.component_names):
             add(comp, "rmse_forecast", rmse_fc[c])
         if regime.peak_component is not None:
-            r0_true, pt_true, pv_true = regime_truth_qoi(regime)
+            true_qoi = regime_truth_qoi(regime)
             qoi = quantities_of_interest(theta_hat, est,
                                          peak_component=regime.peak_component,
                                          value_transform=regime.peak_value_transform)
-            add("R0", "abs_error_R0", abs(qoi.r0 - r0_true))
-            add("peak_time", "abs_error_peak_time", abs(qoi.peak_time - pt_true))
+            add("R0", "abs_error_R0", abs(qoi.r0 - true_qoi.r0))
+            add("peak_time", "abs_error_peak_time", abs(qoi.peak_time - true_qoi.peak_time))
             add("peak_intensity", "abs_error_peak_intensity",
-                abs(qoi.peak_intensity - pv_true))
+                abs(qoi.peak_intensity - true_qoi.peak_intensity))
 
     manifest = {
         "regime": regime.name, "method": method, "lambda": run_id.lam,

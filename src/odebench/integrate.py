@@ -2,7 +2,9 @@
 
 ``integrate_rk45`` is one call to ``scipy.integrate.solve_ivp`` with the
 Dormand-Prince 5(4) pair (``method="RK45"``); the requested output times are
-read from its quartic dense output.
+read from its quartic dense output.  This module only integrates: the peak
+of a trajectory is read by ``experiments.quantities_of_interest``, for the
+truth and the estimates alike.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-__all__ = ["Trajectory", "IntegrationError", "integrate_rk45", "solve_peak"]
+__all__ = ["Trajectory", "IntegrationError", "integrate_rk45"]
 
 
 class IntegrationError(RuntimeError):
@@ -83,29 +85,3 @@ def integrate_rk45(
         raise IntegrationError(sol.message, float(sol.t[-1]))
     return Trajectory(times=eval_times, values=sol.sol(eval_times).T)
 
-
-def solve_peak(
-    rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-    x0: np.ndarray,
-    params: np.ndarray,
-    horizon: tuple[float, float],
-    grid_step: float,
-    component: int,
-    value_transform: Callable[[np.ndarray], np.ndarray] | None,
-) -> tuple[float, float]:
-    """Argmax and max of one trajectory component over a uniform grid.
-
-    ``value_transform`` maps the stored component to the scale on which the
-    peak is taken (e.g. ``np.exp`` for log-space epidemic states).
-    """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    t0, t1 = horizon
-    n = int(round((t1 - t0) / grid_step)) + 1
-    times = t0 + (t1 - t0) * np.arange(n) / (n - 1)
-    traj = integrate_rk45(rhs, x0, params, times)
-    vals = traj.component(component)
-    if value_transform is not None:
-        vals = value_transform(vals)
-    idx = int(np.argmax(vals))
-    return float(times[idx]), float(vals[idx])

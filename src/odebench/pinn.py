@@ -27,7 +27,7 @@ __all__ = [
     "TrainedPinn",
     "init_mlp",
     "forward_with_time_derivative",
-    "pinn_loss",
+    "PinnLoss",
     "train_pinn",
 ]
 
@@ -180,11 +180,13 @@ def _backward_dual(net: MlpNet, sweep: _Sweep, abar, vbar, grads_w, grads_b) -> 
 
 
 @dataclass(frozen=True)
-class _PinnLoss:
+class PinnLoss:
     """The PINN loss on one grid and data set, for nets of one shape.
 
     rows, cols, values hold every observed entry (grid row, component,
-    value); n_obs is the number of observation times.
+    value); n_obs is the number of observation times.  ``train_pinn`` builds
+    one and calls it every epoch: each call overwrites the sweep buffers, so
+    its results depend on its arguments alone.
     """
 
     model: OdeModel
@@ -198,7 +200,7 @@ class _PinnLoss:
 
     @classmethod
     def build(cls, model: OdeModel, data: ObservationSet, grid: DiscretizationGrid,
-              lam: float, widths: list[int]) -> "_PinnLoss":
+              lam: float, widths: list[int]) -> "PinnLoss":
         obs_rows, cols = np.nonzero(~np.isnan(data.values))
         return cls(model=model, times=grid.times, lam=lam, n_obs=data.times.size,
                    rows=grid.obs_index[obs_rows], cols=cols, values=data.values[obs_rows, cols],
@@ -238,29 +240,6 @@ class _PinnLoss:
         _backward_dual(net, sweep, abar, vbar, grads_w, grads_b)
         grad_theta[...] = (2.0 / m) * np.einsum("mc,mcp->p", resid, jac_t)
         return total, physics, data_term
-
-
-def pinn_loss(
-    model: OdeModel,
-    net: MlpNet,
-    theta: np.ndarray,
-    data: ObservationSet,
-    grid: DiscretizationGrid,
-    lam: float,
-) -> tuple[float, float, float]:
-    """(total, physics, data) losses at the current parameters."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _PinnLoss.build(model, data, grid, lam, net.widths)(net, theta)
-
-
-def _loss_and_grads(model, net, theta, data, grid, lam):
-    """(total, physics, data, grad); grad is flat over (weights, biases, theta)."""
-    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-                    + np.size(theta))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total, physics, data_term = _PinnLoss.build(model, data, grid, lam, net.widths)(
-            net, theta, grad)
-    return total, physics, data_term, grad
 
 
 @dataclass(frozen=True)
@@ -325,7 +304,7 @@ def train_pinn(
     net = MlpNet(weights=weights, biases=biases, t_lo=t_lo, t_hi=t_hi)
     grad = np.empty_like(params)
     g_theta = _views(grad, widths)[2]
-    loss = _PinnLoss.build(model, data, grid, config.lam, widths)
+    loss = PinnLoss.build(model, data, grid, config.lam, widths)
     adam = Adam(params, lr=PINN_LR)
     history = []
     skipped = 0

@@ -212,36 +212,32 @@ def _transition(f, q, logp, grad, eps, max_depth, rng):
 
 @dataclass(frozen=True)
 class CompiledTarget:
-    """A log density func(q, ctx) plus the data tuple it reads.
+    """A log density func(q, ctx) plus the data tuple it reads, called as f(q).
 
-    ``nuts_sample`` binds ``ctx`` once and calls ``func(q, ctx)`` for every
-    evaluation.  ``magi.make_sampler_target`` returns one, so code that wraps
-    ``func`` sees each log-density call of a chain; the benchmark's tracing
-    counts them that way.
+    ``magi.make_sampler_target`` returns one, so code that wraps ``func``
+    sees each log-density call of a chain; the benchmark's tracing counts
+    them that way.  To ``nuts_sample`` it is one more callable target.
     """
 
     func: Callable
     ctx: tuple
 
+    def __call__(self, q: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.func(q, self.ctx)
+
 
 def nuts_sample(
-    logdensity_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | CompiledTarget,
+    logdensity_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     init: np.ndarray,
     config: NutsConfig,
 ) -> ChainResult:
     """Run one NUTS chain; deterministic given (init, config.seed).
 
-    The target is a plain callable q -> (log density, gradient) or a
-    CompiledTarget; both give identical draws for identical seeds.  It must
-    return a fresh gradient array on every call: the engine keeps the arrays
-    it is given without copying them.
+    The target is a callable q -> (log density, gradient).  It must return
+    a fresh gradient array on every call: the engine keeps the arrays it is
+    given without copying them.
     """
-    if isinstance(logdensity_and_grad, CompiledTarget):
-        func, ctx = logdensity_and_grad.func, logdensity_and_grad.ctx
-        f = lambda q: func(q, ctx)  # noqa: E731
-    else:
-        f = logdensity_and_grad
-
+    f = logdensity_and_grad
     q = np.array(init, dtype=float).ravel()
     logp, grad = f(q)
     if not (np.isfinite(logp) and np.isfinite(grad).all()):

@@ -77,6 +77,11 @@ def test_seir_r0_truth():
         E.regime_truth_qoi(E.get_regime("lorenz-forecast"))
 
 
+def test_seir_truth_qoi_pinned():
+    """The truth's R0 and peak, read on the 1281-point grid of [0, 12]."""
+    assert E.regime_truth_qoi(E.get_regime("seir-full")) == (10.0, 11.990625, 0.4658804105901696)
+
+
 def test_missing_e_masks_component():
     regime = E.get_regime("seir-missing-e")
     ds = E.simulate_dataset(regime, 7)

@@ -3,13 +3,22 @@ import pytest
 from scipy.linalg import expm
 
 from odebench.dynamics import get_model
-from odebench.integrate import IntegrationError, Trajectory, integrate_rk45, solve_peak
+from odebench.experiments import quantities_of_interest
+from odebench.integrate import IntegrationError, Trajectory, integrate_rk45
+from odebench.magi import uniform_grid
 
 from conftest import rk4_fixed
 
 
 def decay(x, p, t):
     return -x
+
+
+def peak(rhs, x0, theta, t_end, n, component, value_transform):
+    """(time, value) of a component's maximum on n evenly spaced points of [0, t_end]."""
+    traj = integrate_rk45(rhs, x0, theta, uniform_grid(0.0, t_end, n))
+    qoi = quantities_of_interest(theta, traj, component, value_transform)
+    return qoi.peak_time, qoi.peak_intensity
 
 
 def test_exponential_decay_endpoint():
@@ -57,8 +66,7 @@ def test_seir_infectious_peak_is_in_forecast_window():
     x0 = np.log([0.001, 0.001, 0.001])
     # Peak searched on a horizon extending past the forecast window so a
     # boundary argmax cannot masquerade as the true maximum.
-    peak_t, peak_v = solve_peak(model.rhs, x0, theta, horizon=(0.0, 14.0),
-                                grid_step=0.0375, component=1, value_transform=np.exp)
+    peak_t, peak_v = peak(model.rhs, x0, theta, 14.0, 374, component=1, value_transform=np.exp)
     assert 6.0 < peak_t <= 12.0
     assert 0.0 < peak_v < 1.0
     # In-sample I(t) is still rising at the end of the observation window.
@@ -68,22 +76,21 @@ def test_seir_infectious_peak_is_in_forecast_window():
     assert i_lin[-1] > i_lin[-2]
 
 
-def test_solve_peak_scalar_analogue():
-    peak_t, peak_v = solve_peak(lambda x, p, t: (1.0 - 2.0 * t) * x, np.array([1.0]),
-                                np.zeros(1), horizon=(0.0, 1.0), grid_step=0.002,
-                                component=0, value_transform=None)
+def test_peak_scalar_analogue():
+    # The rhs reads no parameters; the two only give quantities_of_interest an R0.
+    peak_t, peak_v = peak(lambda x, p, t: (1.0 - 2.0 * t) * x, np.array([1.0]), np.ones(2),
+                          1.0, 501, component=0, value_transform=None)
     assert abs(peak_t - 0.5) < 0.003
     assert abs(peak_v - np.exp(0.25)) < 1e-4
 
 
-def test_solve_peak_grid_refinement_consistency():
+def test_peak_grid_refinement_consistency():
     model = get_model("seir-log")
     theta = np.array([2.0, 0.2, 0.6])
     x0 = np.log([0.001, 0.001, 0.001])
-    t1, _ = solve_peak(model.rhs, x0, theta, (0.0, 12.0), grid_step=0.0375,
-                       component=1, value_transform=np.exp)
-    t2, _ = solve_peak(model.rhs, x0, theta, (0.0, 12.0), grid_step=0.01875,
-                       component=1, value_transform=np.exp)
+    # Grid steps 0.0375 and 0.01875.
+    t1, _ = peak(model.rhs, x0, theta, 12.0, 321, component=1, value_transform=np.exp)
+    t2, _ = peak(model.rhs, x0, theta, 12.0, 641, component=1, value_transform=np.exp)
     assert abs(t1 - t2) < 0.0375
 
 

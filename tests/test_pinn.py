@@ -78,8 +78,8 @@ def test_physics_term_zero_at_fixed_point():
     times = np.linspace(0.0, 2.0, 21)
     data = _toy_data(model, times[::4], seed=1)
     grid = magi.DiscretizationGrid.build(times, data.times)
-    total, physics, data_term = pinn.pinn_loss(model, net, np.array([beta, rho, sigma]),
-                                               data, grid, lam=10.0)
+    loss = pinn.PinnLoss.build(model, data, grid, 10.0, net.widths)
+    total, physics, data_term = loss(net, np.array([beta, rho, sigma]))
     assert physics == pytest.approx(0.0, abs=1e-24)
     assert total == pytest.approx(data_term)
 
@@ -91,7 +91,7 @@ def test_lambda_zero_removes_data_influence():
     data = _toy_data(model, times[::4], seed=3)
     grid = magi.DiscretizationGrid.build(times, data.times)
     theta = np.array([2.0, 20.0, 9.0])
-    total, physics, data_term = pinn.pinn_loss(model, net, theta, data, grid, lam=0.0)
+    total, physics, data_term = pinn.PinnLoss.build(model, data, grid, 0.0, net.widths)(net, theta)
     assert data_term == 0.0
     assert total == physics
 
@@ -116,15 +116,17 @@ def test_nested_gradient_matches_fd():
             k += size
         return arrs
 
+    loss = pinn.PinnLoss.build(model, data, grid, 10.0, net.widths)
+
     def loss_of(flat):
         arrs = unflatten(flat)
         tmp = pinn.MlpNet(weights=arrs[:2], biases=arrs[2:4], t_lo=0.0, t_hi=1.0)
-        total, _, _ = pinn.pinn_loss(model, tmp, arrs[4], data, grid, lam=10.0)
+        total, _, _ = loss(tmp, arrs[4])
         return total
 
-    total, physics, data_term, grad = pinn._loss_and_grads(
-        model, net, theta, data, grid, 10.0)
     flat0 = np.concatenate([p.ravel() for p in params])
+    grad = np.empty_like(flat0)
+    loss(net, theta, grad)
     fd = central_fd(loss_of, flat0)
     assert rel_err(grad, fd, floor=1e-4 * max(1.0, np.max(np.abs(fd)))) < 1e-5
 
@@ -136,17 +138,50 @@ def test_nested_gradient_missing_component():
     grid = magi.DiscretizationGrid.build(times, data.times)
     net = pinn.init_mlp([1, 3, 3], 0.0, 1.0, seed=7)
     theta = np.array([2.0, 0.2, 0.6])
-    total, physics, data_term, grad = pinn._loss_and_grads(
-        model, net, theta, data, grid, 10.0)
+    loss = pinn.PinnLoss.build(model, data, grid, 10.0, net.widths)
+    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)) + theta.size)
+    loss(net, theta, grad)
     gt = grad[-theta.size:]
     assert np.all(np.isfinite(gt))
 
     def loss_theta(th):
-        t_, _, _ = pinn.pinn_loss(model, net, th, data, grid, lam=10.0)
+        t_, _, _ = loss(net, th)
         return t_
 
     fd = central_fd(loss_theta, theta)
     assert rel_err(gt, fd, floor=1e-5) < 1e-5
+
+
+def test_one_loss_gives_the_same_values_after_other_parameters():
+    """train_pinn calls one PinnLoss every epoch, so a call must not depend on the ones before."""
+    model = get_model("seir-log")
+    times = np.linspace(0.0, 2.0, 21)
+    data = _toy_data(model, times[::4], seed=8, missing=(0,))
+    grid = magi.DiscretizationGrid.build(times, data.times)
+    widths = [1, 20, 20, 3]
+    net_a = pinn.init_mlp(widths, 0.0, 2.0, seed=9)
+    net_b = pinn.init_mlp(widths, 0.0, 2.0, seed=10)
+    theta_a, theta_b = np.array([2.0, 0.2, 0.6]), np.array([1.5, 0.3, 0.4])
+    n_params = sum(w.size + b.size for w, b in zip(net_a.weights, net_a.biases)) + theta_a.size
+
+    def evaluate(loss, net, theta):
+        grad = np.empty(n_params)
+        return loss(net, theta, grad), grad
+
+    def fresh(net, theta):
+        return evaluate(pinn.PinnLoss.build(model, data, grid, 10.0, widths), net, theta)
+
+    loss = pinn.PinnLoss.build(model, data, grid, 10.0, widths)
+    first, grad_first = evaluate(loss, net_a, theta_a)
+    second, grad_second = evaluate(loss, net_b, theta_b)
+    again, grad_again = evaluate(loss, net_a, theta_a)
+    fresh_a, grad_fresh_a = fresh(net_a, theta_a)
+    fresh_b, grad_fresh_b = fresh(net_b, theta_b)
+    assert first == again == fresh_a
+    assert np.array_equal(grad_again, grad_first)
+    assert np.array_equal(grad_fresh_a, grad_first)
+    assert second == fresh_b and second != first
+    assert np.array_equal(grad_second, grad_fresh_b)
 
 
 def test_train_linear_ode_recovers_theta():
