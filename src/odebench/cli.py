@@ -101,7 +101,9 @@ def simulate(ctx, regime_name, replicates, first_replicate, seed, out, config_pa
 @click.option("--warmup", default=3000, show_default=True, help="NUTS warmup steps.")
 @click.option("--samples", default=3000, show_default=True, help="NUTS kept draws.")
 @click.option("--init-budget", default=3000, show_default=True,
-              help="Gradient-matching initializer iterations.")
+              help="Adam steps of the gradient-matching initializer; used only when "
+                   "a component is unobserved (a fully observed regime solves theta "
+                   "directly).")
 @click.option("--replicates", default=1, show_default=True)
 @click.option("--first-replicate", default=0, show_default=True)
 @click.option("--seed", default=0, show_default=True)

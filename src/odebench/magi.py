@@ -33,6 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import solve_triangular
+from scipy.optimize import least_squares
 
 from .dynamics import OdeModel
 from .gp import GpFit, GpKernelMats, build_kernel_mats, gp_smooth_fit
@@ -350,9 +351,13 @@ def init_missing_components(
     """Initial trajectories and parameters for the sampler.
 
     Observed components come from spline-smoothed interpolation of their
-    data.  Missing components and theta are then estimated jointly by
-    matching finite-difference trajectory derivatives to the ODE right-hand
-    side, with a curvature penalty keeping the free trajectories smooth.
+    data.  Theta (and any missing component) then minimizes the squared
+    mismatch between finite-difference trajectory derivatives and the ODE
+    right-hand side.  When every component is observed the trajectory is
+    fixed, and theta comes from one bounded least-squares solve inside
+    ``model.theta_box``.  Otherwise the missing trajectories and theta are
+    fitted jointly by ``n_iter`` Adam steps, with a curvature penalty keeping
+    the free trajectories smooth; ``n_iter`` bounds only that loop.
     """
     observed = observations.observed_components()
     if not observed:
@@ -371,13 +376,31 @@ def init_missing_components(
         x0[:, c] = fallback_level
 
     d1, d2 = _diff_matrices(times)
-    pos = np.asarray(model.positive_params, dtype=bool)
-    theta0 = np.ones(p)
+    lo, hi = np.array(model.theta_box, dtype=float).T
+
+    def fallback() -> InitResult:
+        warnings.warn("gradient-matching initializer diverged; using constant fallback")
+        return InitResult(x=x0, theta=np.ones(p), flags=("init-fallback-constant",))
+
+    if not missing:
+        xdot = d1 @ x0
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                theta = least_squares(
+                    lambda th: (xdot - model.rhs(x0, th, times)).ravel(),
+                    np.clip(np.ones(p), lo, hi),
+                    jac=lambda th: -model.jac_param(x0, th, times).reshape(-1, p),
+                    bounds=(lo, hi),
+                ).x
+        except ValueError:  # e.g. residuals not finite at the start
+            return fallback()
+        if not np.isfinite(theta).all():
+            return fallback()
+        return InitResult(x=x0, theta=theta)
 
     # Optimize (missing trajectory block, theta), laid out in one vector;
-    # positivity-constrained parameters move on log scale.  With no missing
-    # component the trajectory is fixed, and so is its finite-difference
-    # derivative.
+    # positivity-constrained parameters move on log scale.
+    pos = np.asarray(model.positive_params, dtype=bool)
     n_free = m_sz * len(missing)
     params = np.empty(n_free + p)
     grad = np.empty_like(params)
@@ -386,25 +409,20 @@ def init_missing_components(
     g_free = grad[:n_free].reshape(m_sz, len(missing))
     g_u = grad[n_free:]
     free_block[...] = x0[:, missing]
+    theta0 = np.ones(p)
     u_theta[...] = np.where(pos, np.log(theta0), theta0)
-    xdot_fixed = None if missing else d1 @ x0
 
     def objective():
         """Objective at ``params``; its gradient goes into ``grad``."""
         theta = np.where(pos, np.exp(u_theta), u_theta)
-        if missing:
-            x = x0.copy()
-            x[:, missing] = free_block
-            xdot = d1 @ x
-        else:
-            x, xdot = x0, xdot_fixed
+        x = x0.copy()
+        x[:, missing] = free_block
+        xdot = d1 @ x
         fvals = model.rhs(x, theta, times)
         resid = xdot - fvals
         obj = float((resid * resid).sum())
         g_theta_raw = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
         g_u[...] = np.where(pos, g_theta_raw * theta, g_theta_raw)
-        if not missing:
-            return obj
         jac_x = model.jac_state(x, theta, times)
         g = 2.0 * (d1.T @ resid[:, missing])
         g -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
@@ -415,28 +433,16 @@ def init_missing_components(
         return obj
 
     adam = Adam(params, lr=INIT_LR)
-    ok = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_iter):
             obj = objective()
             if not (math.isfinite(obj) and np.isfinite(grad).all()):
-                ok = False
-                break
+                return fallback()
             adam.step(params, grad)
 
-    if not ok:
-        warnings.warn("gradient-matching initializer diverged; using constant fallback")
-        x = x0.copy()
-        for c in missing:
-            x[:, c] = fallback_level
-        return InitResult(x=x, theta=np.ones(p), flags=("init-fallback-constant",))
-
-    theta = np.where(pos, np.exp(u_theta), u_theta)
-    theta = np.clip(theta, [b[0] for b in model.theta_box], [b[1] for b in model.theta_box])
-    x = x0.copy()
-    if missing:
-        x[:, missing] = free_block
-    return InitResult(x=x, theta=theta)
+    theta = np.clip(np.where(pos, np.exp(u_theta), u_theta), lo, hi)
+    x0[:, missing] = free_block
+    return InitResult(x=x0, theta=theta)
 
 
 # ---------------------------------------------------------------------------

@@ -615,8 +615,8 @@ def test_small_study_results_pinned():
                       replicates=2, base_seed=3)
     assert res.failed == 0
     errors = {r[5]: float(r[7]) for r in res.rows if r[3] == 0 and r[6] == "abs_error_theta"}
-    expected = {"beta": 0.07842617951644892, "gamma": 0.013247555772038178,
-                "sigma": 0.1033616326598189}
+    expected = {"beta": 0.08822599751702276, "gamma": 0.0007880274914380259,
+                "sigma": 0.13146127060061696}
     assert errors.keys() == expected.keys()
     for name, value in expected.items():
         assert errors[name] == pytest.approx(value, rel=1e-12), name

@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve
 from odebench import gp, integrate, magi
 from odebench.dynamics import OdeModel, get_model
 from odebench.observations import ObservationSet
+from odebench.optim import Adam
 from odebench.sampler import CompiledTarget, NutsConfig, nuts_sample
 
 from conftest import central_fd, make_missing_e_problem, rel_err, tiny_regime
@@ -204,7 +205,71 @@ def test_init_gradient_matching_on_clean_lorenz():
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(model, grid, obs, n_iter=4000)
     for j in range(3):
-        assert abs(init.theta[j] - theta_true[j]) / theta_true[j] < 0.10
+        assert abs(init.theta[j] - theta_true[j]) / theta_true[j] < 0.01
+
+
+def _matching_objective(model, x, times):
+    """Gradient-matching objective in theta for a fixed path, and its gradient."""
+    xdot = magi._diff_matrices(times)[0] @ x
+
+    def objective(theta):
+        resid = xdot - model.rhs(x, theta, times)
+        grad = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
+        return float((resid * resid).sum()), grad
+
+    return objective
+
+
+def _adam_theta(model, objective, n_iter=3000, lr=0.01):
+    """Theta from Adam on the same objective, positive parameters on log scale."""
+    pos = np.asarray(model.positive_params, dtype=bool)
+    u = np.where(pos, 0.0, 1.0)  # theta = 1
+    adam = Adam(u, lr=lr)
+    for _ in range(n_iter):
+        theta = np.where(pos, np.exp(u), u)
+        grad = objective(theta)[1]
+        adam.step(u, np.where(pos, grad * theta, grad))
+    return np.where(pos, np.exp(u), u)
+
+
+@pytest.mark.parametrize("fixture", ["seir_small", "lorenz_small"])
+def test_init_fully_observed_solves_theta(fixture, request):
+    # With every component observed, theta minimizes the matching objective
+    # over the box: its projected gradient vanishes, and no worse than Adam.
+    f = request.getfixturevalue(fixture)
+    model, times = f["model"], f["grid"].times
+    init = magi.init_missing_components(model, f["grid"], f["obs"])
+    objective = _matching_objective(model, init.x, times)
+    lo, hi = np.array(model.theta_box).T
+    assert np.all((init.theta >= lo) & (init.theta <= hi))
+    value, grad = objective(init.theta)
+    grad[(init.theta <= lo) & (grad > 0)] = 0.0
+    grad[(init.theta >= hi) & (grad < 0)] = 0.0
+    assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(objective(np.ones(model.param_dim))[1])
+    assert value <= objective(_adam_theta(model, objective))[0]
+
+
+def test_init_fully_observed_nan_rhs_falls_back():
+    nan_model = OdeModel(
+        name="nan-1d",
+        state_dim=1,
+        param_dim=1,
+        component_names=("x",),
+        param_names=("theta",),
+        rhs=lambda x, th, t: np.full(np.shape(x), np.nan),
+        jac_state=lambda x, th, t: np.full(np.shape(x)[:-1] + (1, 1), np.nan),
+        jac_param=lambda x, th, t: np.full(np.shape(x) + (1,), np.nan),
+        positive_params=(True,),
+        theta_box=((1e-6, 100.0),),
+    )
+    times = magi.uniform_grid(0.0, 1.0, 11)
+    obs = ObservationSet(times=times, values=np.exp(-times)[:, None], mask=(True,))
+    grid = magi.DiscretizationGrid.build(times, obs.times)
+    with pytest.warns(UserWarning, match="constant fallback"):
+        init = magi.init_missing_components(nan_model, grid, obs)
+    assert init.flags == ("init-fallback-constant",)
+    assert np.array_equal(init.theta, np.ones(1))
+    assert np.array_equal(init.x[:, 0], magi._interp_and_smooth(times, np.exp(-times), times))
 
 
 def test_init_missing_e_is_finite():
