@@ -204,7 +204,7 @@ def regimes():
         forecast = spec.forecast_protocol or "none"
         click.echo(
             f"{spec.name}: model={spec.model_name} obs={spec.n_obs} on "
-            f"[{spec.t0:g},{spec.t_obs_end:g}] noise={spec.noise_level:g} "
+            f"[0,{spec.t_obs_end:g}] noise={spec.noise_level:g} "
             f"({spec.noise_kind}) grid={spec.n_grid_insample}"
             + (f"+{spec.n_grid_total - spec.n_grid_insample}" if spec.n_grid_total else "")
             + f" forecast={forecast}"

@@ -42,6 +42,10 @@ class OdeModel:
     # that work on log-scale) and the sampler's flat prior box.
     positive_params: tuple[bool, ...]
     theta_box: tuple[tuple[float, float], ...]
+    # True where states are logs of the physical quantities: peaks are read after exp.
+    log_states: bool
+    # True where trajectories oscillate: GP fits take the Fourier lengthscale prior.
+    oscillatory: bool
 
     def __post_init__(self):
         if self.state_dim <= 0 or self.param_dim <= 0:
@@ -162,6 +166,8 @@ SEIR_LOG = OdeModel(
     jac_param=seir_log_jac_param,
     positive_params=(True, True, True),
     theta_box=((1e-6, 100.0), (1e-6, 100.0), (1e-6, 100.0)),
+    log_states=True,
+    oscillatory=False,
 )
 
 LORENZ = OdeModel(
@@ -175,6 +181,8 @@ LORENZ = OdeModel(
     jac_param=lorenz_jac_param,
     positive_params=(True, False, True),
     theta_box=((1e-6, 100.0), (-100.0, 100.0), (1e-6, 100.0)),
+    log_states=False,
+    oscillatory=True,
 )
 
 _REGISTRY: dict[str, OdeModel] = {m.name: m for m in (SEIR_LOG, LORENZ)}

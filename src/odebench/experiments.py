@@ -79,15 +79,12 @@ class RegimeSpec:
     model_name: str
     theta_true: tuple[float, ...]
     x0: tuple[float, ...]
-    t0: float
     t_obs_end: float
     n_obs: int
     noise_kind: str  # "additive" (fixed sd per component) | "sd-fraction"
     noise_level: float
     observed_mask: tuple[bool, ...]
     n_grid_insample: int
-    metric_space: str  # "log" or "raw": the space the components live in
-    fourier_prior: bool
     t_end: float | None = None
     n_grid_total: int | None = None
     points_per_step: int | None = None  # set: sequential forecasting, in steps this long
@@ -100,7 +97,7 @@ class RegimeSpec:
     @property
     def peak_value_transform(self):
         """Map from a stored component to the scale its peak is read on (None: as stored)."""
-        return np.exp if self.metric_space == "log" else None
+        return np.exp if self.model().log_states else None
 
     @property
     def forecast_protocol(self) -> str | None:
@@ -110,10 +107,10 @@ class RegimeSpec:
         return "extended" if self.points_per_step is None else "sequential"
 
     def master_times(self) -> np.ndarray:
-        """The full grid, forecast horizon included when one exists."""
+        """The full grid from t = 0, forecast horizon included when one exists."""
         if self.t_end is not None:
-            return uniform_grid(self.t0, self.t_end, self.n_grid_total)
-        return uniform_grid(self.t0, self.t_obs_end, self.n_grid_insample)
+            return uniform_grid(0.0, self.t_end, self.n_grid_total)
+        return uniform_grid(0.0, self.t_obs_end, self.n_grid_insample)
 
     def insample_times(self) -> np.ndarray:
         return self.master_times()[: self.n_grid_insample]
@@ -150,12 +147,10 @@ SEIR_FULL = _register(RegimeSpec(
     model_name="seir-log",
     theta_true=(2.0, 0.2, 0.6),
     x0=(_LOG_MILLI, _LOG_MILLI, _LOG_MILLI),
-    t0=0.0, t_obs_end=6.0, n_obs=41,
+    t_obs_end=6.0, n_obs=41,
     noise_kind="additive", noise_level=0.15,
     observed_mask=(True, True, True),
     n_grid_insample=161,
-    metric_space="log",
-    fourier_prior=False,
     t_end=12.0, n_grid_total=321,
     eval_index_lo=161,
     peak_component=1,
@@ -169,12 +164,10 @@ LORENZ_CHAOTIC = _register(RegimeSpec(
     model_name="lorenz",
     theta_true=(8.0 / 3.0, 28.0, 10.0),
     x0=(5.0, 5.0, 5.0),
-    t0=0.0, t_obs_end=8.0, n_obs=81,
+    t_obs_end=8.0, n_obs=81,
     noise_kind="sd-fraction", noise_level=0.05,
     observed_mask=(True, True, True),
     n_grid_insample=321,
-    metric_space="raw",
-    fourier_prior=True,
 ))
 
 LORENZ_STABLE = _register(replace(
@@ -185,12 +178,10 @@ LORENZ_FORECAST = _register(RegimeSpec(
     model_name="lorenz",
     theta_true=(8.0 / 3.0, 28.0, 10.0),
     x0=(5.0, 5.0, 5.0),
-    t0=0.0, t_obs_end=2.0, n_obs=41,
+    t_obs_end=2.0, n_obs=41,
     noise_kind="sd-fraction", noise_level=0.0005,
     observed_mask=(True, True, True),
     n_grid_insample=81,
-    metric_space="raw",
-    fourier_prior=True,
     t_end=5.0, n_grid_total=201,
     points_per_step=40,
     eval_index_lo=80,
@@ -404,9 +395,9 @@ def run_single(
     """Simulate one dataset, run one method, compute all metrics.
 
     ``options`` reach the method unchanged: the keyword arguments of
-    ``fit_magi`` and the forecast functions past (use_fourier_prior, seed),
-    or the fields of ``PinnConfig`` past seed.  A key the method does not
-    take raises TypeError.
+    ``fit_magi`` and the forecast functions past seed, or the fields of
+    ``PinnConfig`` past seed.  A key the method does not take, or a MAGI
+    sampler setting it lacks, raises TypeError.
 
     Returns (result rows, run manifest).  Rows follow RESULT_COLUMNS; wall
     time lives only in the manifest so result CSVs stay byte-identical
@@ -430,7 +421,7 @@ def run_single(
     insample_times = regime.insample_times()
 
     if method == "magi":
-        sampling = dict(use_fourier_prior=regime.fourier_prior, seed=seed, **options)
+        sampling = dict(seed=seed, **options)
         if not forecast:
             post = fit_magi(model, insample_times, dataset, **sampling)
         elif regime.forecast_protocol == "extended":

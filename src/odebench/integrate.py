@@ -17,6 +17,9 @@ from scipy.integrate import solve_ivp
 
 __all__ = ["Trajectory", "IntegrationError", "integrate_rk45"]
 
+RTOL = 1e-10  # solver tolerances of every integration, the truth's included
+ATOL = 1e-12
+
 
 class IntegrationError(RuntimeError):
     """Raised when the solver stops before the last output time.
@@ -57,8 +60,6 @@ def integrate_rk45(
     x0: np.ndarray,
     params: np.ndarray,
     eval_times: np.ndarray,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
 ) -> Trajectory:
     """Integrate x' = rhs(x, params, t) from eval_times[0]; states at eval_times.
 
@@ -66,8 +67,6 @@ def integrate_rk45(
     stops early (step-size underflow at a blow-up or stiff stretch), carrying
     the time of its last accepted step.
     """
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.ndim != 1 or eval_times.size < 1 or np.any(np.diff(eval_times) <= 0):
         raise ValueError("eval_times must be strictly increasing")
@@ -80,7 +79,7 @@ def integrate_rk45(
         raise IntegrationError("non-finite right-hand side at initial state", eval_times[0])
 
     sol = solve_ivp(lambda t, y: rhs(y, params, t), (eval_times[0], eval_times[-1]), x,
-                    method="RK45", dense_output=True, rtol=rel_tol, atol=abs_tol)
+                    method="RK45", dense_output=True, rtol=RTOL, atol=ATOL)
     if sol.status != 0:
         raise IntegrationError(sol.message, float(sol.t[-1]))
     return Trajectory(times=eval_times, values=sol.sol(eval_times).T)

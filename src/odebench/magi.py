@@ -580,9 +580,10 @@ def _initial_log_sigma(problem: MagiProblem) -> np.ndarray:
 def run_inference(
     problem: MagiProblem,
     init: InitResult,
-    n_warmup: int = 3000,
-    n_samples: int = 3000,
-    seed: int = 0,
+    *,
+    n_warmup: int,
+    n_samples: int,
+    seed: int,
 ) -> PosteriorSamples:
     """NUTS over the full joint state from the initializer's point."""
     return _sample_posterior(problem, init.x, init.theta, _initial_log_sigma(problem),
@@ -624,19 +625,19 @@ def prepare_fits(
     model: OdeModel,
     grid: DiscretizationGrid,
     observations: ObservationSet,
-    use_fourier_prior: bool,
     init: InitResult,
 ) -> dict[int, GpFit]:
     """Hyperparameter fits: observed components from their data, missing
-    components from the gradient-matched interpolant on the grid."""
+    components from the gradient-matched interpolant on the grid.  An
+    oscillatory model's fits take the Fourier lengthscale prior."""
     fits: dict[int, GpFit] = {}
     for c in range(model.state_dim):
         if observations.mask[c]:
             obs_t, obs_y = observations.component_values(c)
-            fits[c] = gp_smooth_fit(obs_t, obs_y, use_fourier_prior=use_fourier_prior)
+            fits[c] = gp_smooth_fit(obs_t, obs_y, use_fourier_prior=model.oscillatory)
         else:
             fits[c] = gp_smooth_fit(grid.times, init.x[:, c],
-                                    use_fourier_prior=use_fourier_prior)
+                                    use_fourier_prior=model.oscillatory)
     return fits
 
 
@@ -646,15 +647,14 @@ def _fit_flags(fits: dict[int, GpFit]) -> tuple[str, ...]:
 
 
 def _insample_setup(model: OdeModel, times: np.ndarray, observations: ObservationSet,
-                    use_fourier_prior: bool, init_budget: int,
-                    ) -> tuple[DiscretizationGrid, InitResult, dict[int, GpFit]]:
+                    init_budget: int) -> tuple[DiscretizationGrid, InitResult, dict[int, GpFit]]:
     """The in-sample grid, the gradient-matching initializer and the GP fits.
 
     The returned initializer also carries the flags of the fits.
     """
     grid = DiscretizationGrid.build(np.asarray(times, dtype=float), observations.times)
     init = init_missing_components(model, grid, observations, n_iter=init_budget)
-    fits = prepare_fits(model, grid, observations, use_fourier_prior, init)
+    fits = prepare_fits(model, grid, observations, init)
     return grid, replace(init, flags=init.flags + _fit_flags(fits)), fits
 
 
@@ -682,15 +682,13 @@ def fit_magi(
     times: np.ndarray,
     observations: ObservationSet,
     *,
-    use_fourier_prior: bool,
-    n_warmup: int = 3000,
-    n_samples: int = 3000,
-    seed: int = 0,
-    init_budget: int = 3000,
+    n_warmup: int,
+    n_samples: int,
+    seed: int,
+    init_budget: int,
 ) -> PosteriorSamples:
     """In-sample protocol: initialize, fit hyperparameters, sample."""
-    grid, init, fits = _insample_setup(model, times, observations, use_fourier_prior,
-                                       init_budget)
+    grid, init, fits = _insample_setup(model, times, observations, init_budget)
     problem = make_problem(model, grid, observations, fits)
     return run_inference(problem, init, n_warmup=n_warmup, n_samples=n_samples, seed=seed)
 
@@ -701,11 +699,10 @@ def forecast_extended_grid(
     n_insample: int,
     observations: ObservationSet,
     *,
-    use_fourier_prior: bool,
-    n_warmup: int = 3000,
-    n_samples: int = 3000,
-    seed: int = 0,
-    init_budget: int = 3000,
+    n_warmup: int,
+    n_samples: int,
+    seed: int,
+    init_budget: int,
 ) -> PosteriorSamples:
     """Joint inference over the observation window plus a forecast horizon.
 
@@ -715,7 +712,7 @@ def forecast_extended_grid(
     """
     full_times = np.asarray(full_times, dtype=float)
     _, init_in, fits = _insample_setup(model, full_times[:n_insample], observations,
-                                       use_fourier_prior, init_budget)
+                                       init_budget)
     x_full, continued = _continue_past(model, init_in.x, init_in.theta, full_times)
     flags = init_in.flags + (() if continued else ("forecast-init-constant",))
     problem = make_problem(model, DiscretizationGrid.build(full_times, observations.times),
@@ -731,11 +728,10 @@ def forecast_sequential(
     points_per_step: int,
     observations: ObservationSet,
     *,
-    use_fourier_prior: bool,
-    n_warmup: int = 3000,
-    n_samples: int = 3000,
-    seed: int = 0,
-    init_budget: int = 3000,
+    n_warmup: int,
+    n_samples: int,
+    seed: int,
+    init_budget: int,
 ) -> PosteriorSamples:
     """Stepwise horizon extension with warm starts between stages.
 
@@ -755,8 +751,7 @@ def forecast_sequential(
     seed_seq = np.random.SeedSequence(seed)
     stage_seeds = [int(s.generate_state(1)[0]) for s in seed_seq.spawn(n_steps + 1)]
 
-    samples = fit_magi(model, full_times[:n_insample], observations,
-                       use_fourier_prior=use_fourier_prior, n_warmup=n_warmup,
+    samples = fit_magi(model, full_times[:n_insample], observations, n_warmup=n_warmup,
                        n_samples=n_samples, seed=stage_seeds[0], init_budget=init_budget)
     stage_flags = list(samples.flags)
 
@@ -776,14 +771,14 @@ def forecast_sequential(
         # Refit hyperparameters on the final unit interval of the previous
         # posterior mean (the freshest dynamics the chain has committed to).
         span = full_times[prev_len - 1] - full_times[0]
-        per_unit = int(round((prev_len - 1) / span)) if span > 0 else prev_len - 1
+        per_unit = int(round((prev_len - 1) / span))
         tail_lo = max(0, prev_len - 1 - per_unit)
         fits = {}
         for c in range(model.state_dim):
             fits[c] = gp_smooth_fit(
                 full_times[tail_lo:prev_len],
                 samples.x_mean[tail_lo:prev_len, c],
-                use_fourier_prior=use_fourier_prior,
+                use_fourier_prior=model.oscillatory,
             )
         flags += _fit_flags(fits)
 

@@ -6,6 +6,10 @@ import numpy as np
 
 __all__ = ["Adam"]
 
+BETA1 = 0.9  # decay of the first-moment average
+BETA2 = 0.999  # decay of the second-moment average
+EPS = 1e-8  # added to the root of the second moment
+
 
 class Adam:
     """Adam with bias correction over one float64 array.
@@ -16,28 +20,24 @@ class Adam:
     of them.
     """
 
-    def __init__(self, like: np.ndarray, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, like: np.ndarray, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(like, dtype=float)
         self.v = np.zeros_like(like, dtype=float)
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         m, v = self.m, self.v
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
         # p -= lr * m_hat / (sqrt(v_hat) + eps), one temporary per moment.
-        upd = m / (1.0 - b1 ** self.t)
+        upd = m / (1.0 - BETA1 ** self.t)
         upd *= self.lr
-        den = v / (1.0 - b2 ** self.t)
+        den = v / (1.0 - BETA2 ** self.t)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += EPS
         upd /= den
         p -= upd

@@ -34,18 +34,16 @@ __all__ = [
 
 DIVERGENCE_THRESHOLD = 1000.0  # energy error bound before a transition is abandoned
 TARGET_ACCEPT = 0.8  # acceptance statistic that warmup adapts the step size toward
+MAX_TREE_DEPTH = 10  # doublings per transition, so at most 2**10 - 1 leapfrogs
 
 
 @dataclass(frozen=True)
 class NutsConfig:
     n_warmup: int = 3000
     n_samples: int = 3000
-    max_tree_depth: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_tree_depth < 1:
-            raise ValueError("max_tree_depth must be >= 1")
         if self.n_warmup < 0 or self.n_samples <= 0:
             raise ValueError("n_warmup must be >= 0 and n_samples positive")
 
@@ -258,7 +256,7 @@ def nuts_sample(
     for m in range(n_warmup + n_samples):
         step = math.exp(log_eps) if m < n_warmup else math.exp(log_eps_bar)
         q, logp, grad, accept_stat, diverged, energy_error, n_lf = _transition(
-            f, q, logp, grad, step, config.max_tree_depth, rng)
+            f, q, logp, grad, step, MAX_TREE_DEPTH, rng)
         n_leapfrog += n_lf
         if m < n_warmup:
             log_eps, log_eps_bar, h_bar = _dual_average(

@@ -93,7 +93,7 @@ def make_missing_e_problem(n_grid=21, seed=3):
     obs = ObservationSet(times=times[::4], values=values, mask=(False, True, True))
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(model, grid, obs, n_iter=500)
-    fits = magi.prepare_fits(model, grid, obs, False, init)
+    fits = magi.prepare_fits(model, grid, obs, init)
     problem = magi.make_problem(model, grid, obs, fits)
     return model, grid, obs, init, fits, problem
 

@@ -17,9 +17,18 @@ def runner():
 def test_regimes_lists_all(runner):
     result = runner.invoke(main, ["regimes"])
     assert result.exit_code == 0
-    for name in ("seir-full", "seir-missing-e", "lorenz-chaotic",
-                 "lorenz-stable", "lorenz-forecast"):
-        assert name in result.output
+    assert result.output.splitlines() == [
+        "seir-full: model=seir-log obs=41 on [0,6] noise=0.15 (additive) grid=161+160 "
+        "forecast=extended",
+        "seir-missing-e: model=seir-log obs=41 on [0,6] noise=0.15 (additive) grid=161+160 "
+        "forecast=extended",
+        "lorenz-chaotic: model=lorenz obs=81 on [0,8] noise=0.05 (sd-fraction) grid=321 "
+        "forecast=none",
+        "lorenz-stable: model=lorenz obs=81 on [0,8] noise=0.05 (sd-fraction) grid=321 "
+        "forecast=none",
+        "lorenz-forecast: model=lorenz obs=41 on [0,2] noise=0.0005 (sd-fraction) grid=81+120 "
+        "forecast=sequential",
+    ]
 
 
 def test_simulate_writes_datasets(runner, tmp_path):

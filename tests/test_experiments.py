@@ -8,6 +8,7 @@ import pytest
 
 from odebench import experiments as E
 from odebench import magi
+from odebench.dynamics import get_model
 from odebench.integrate import Trajectory
 from odebench.sampler import CompiledTarget
 from odebench.selfcheck import truth_error_vs_dop853
@@ -139,17 +140,14 @@ def test_dataset_simulation_is_pure(tmp_path):
     assert not np.array_equal(a.values, c.values)
 
 
-def test_metric_space_flags_pinned():
-    assert E.get_regime("seir-full").metric_space == "log"
-    assert E.get_regime("seir-missing-e").metric_space == "log"
-    assert E.get_regime("lorenz-chaotic").metric_space == "raw"
-    assert E.get_regime("lorenz-forecast").metric_space == "raw"
+def test_log_states_pinned():
+    assert get_model("seir-log").log_states
+    assert not get_model("lorenz").log_states
 
 
-def test_fourier_prior_toggle_pinned():
-    assert not E.get_regime("seir-full").fourier_prior
-    assert E.get_regime("lorenz-chaotic").fourier_prior
-    assert E.get_regime("lorenz-forecast").fourier_prior
+def test_oscillatory_pinned():
+    assert not get_model("seir-log").oscillatory
+    assert get_model("lorenz").oscillatory
 
 
 def test_compute_rmse_identities():
@@ -403,11 +401,15 @@ def test_run_single_magi_forecast_protocols(tmp_path, make_regime):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("make_regime, n_fits", [(tiny_regime, 3), (lorenz_forecast_small, 9)],
-                         ids=["extended", "sequential"])
-def test_every_forecast_gp_fit_takes_the_regime_prior(monkeypatch, make_regime, n_fits):
-    """Every GP fit of a forecast, the sequential refits included, gets
-    ``use_fourier_prior == regime.fourier_prior`` from run_single."""
+@pytest.mark.parametrize("make_regime, n_fits", [
+    (tiny_regime, 3),
+    (lambda: tiny_regime(name="seir-missing-e", observed_mask=(False, True, True)), 3),
+    (lorenz_forecast_small, 9),
+], ids=["extended", "extended-missing", "sequential"])
+def test_every_forecast_gp_fit_takes_the_model_prior(monkeypatch, make_regime, n_fits):
+    """Every GP fit of a forecast, the sequential refits and the fit of an
+    unobserved component included, gets ``use_fourier_prior ==
+    model.oscillatory``."""
     regime = make_regime()
     original = magi.gp_smooth_fit
     seen = []
@@ -418,7 +420,7 @@ def test_every_forecast_gp_fit_takes_the_regime_prior(monkeypatch, make_regime, 
 
     monkeypatch.setattr(magi, "gp_smooth_fit", recording_fit)
     E.run_single(regime, "magi", FORECAST_MAGI, replicate=0, base_seed=4, forecast=True)
-    assert seen == [regime.fourier_prior] * n_fits
+    assert seen == [regime.model().oscillatory] * n_fits
 
 
 def _sequential_inputs():
@@ -427,8 +429,7 @@ def _sequential_inputs():
     dataset = E.simulate_dataset(regime, E.dataset_seed(4, regime, 0))
     args = (regime.model(), regime.master_times(), regime.n_grid_insample,
             regime.points_per_step, dataset)
-    kwargs = dict(use_fourier_prior=regime.fourier_prior, n_warmup=5, n_samples=5, seed=4,
-                  init_budget=50)
+    kwargs = dict(n_warmup=5, n_samples=5, seed=4, init_budget=50)
     return regime, args, kwargs
 
 

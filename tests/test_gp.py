@@ -209,7 +209,7 @@ def _regime_fits(name):
     true_sd = np.array(data.noise_spec["per_component_sd"])
     for c in range(data.values.shape[1]):
         t, y = data.times, data.values[:, c]
-        yield gp_smooth_fit(t, y, use_fourier_prior=regime.fourier_prior), true_sd[c], t, y
+        yield gp_smooth_fit(t, y, use_fourier_prior=regime.model().oscillatory), true_sd[c], t, y
 
 
 def test_lorenz_noise_estimates_stay_near_the_truth():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from odebench import integrate
 from odebench.dynamics import get_model
 from odebench.experiments import quantities_of_interest
 from odebench.integrate import IntegrationError, Trajectory, integrate_rk45
@@ -94,27 +95,28 @@ def test_peak_grid_refinement_consistency():
     assert abs(t1 - t2) < 0.0375
 
 
-def test_tolerance_halving_consistency():
+def test_tolerance_halving_consistency(monkeypatch):
+    def at_tolerances(rtol, atol, *args):
+        monkeypatch.setattr(integrate, "RTOL", rtol)
+        monkeypatch.setattr(integrate, "ATOL", atol)
+        return integrate_rk45(*args)
+
     a = np.array([[-0.3, 2.0], [-2.0, -0.3]])
 
     def rhs(x, p, t):
         return a @ x
 
     times = np.linspace(0.0, 3.0, 31)
-    coarse = integrate_rk45(rhs, [1.0, -0.5], np.zeros(1), times,
-                            rel_tol=1e-6, abs_tol=1e-8)
-    fine = integrate_rk45(rhs, [1.0, -0.5], np.zeros(1), times,
-                          rel_tol=5e-7, abs_tol=5e-9)
+    coarse = at_tolerances(1e-6, 1e-8, rhs, [1.0, -0.5], np.zeros(1), times)
+    fine = at_tolerances(5e-7, 5e-9, rhs, [1.0, -0.5], np.zeros(1), times)
     assert np.max(np.abs(coarse.values - fine.values)) < 10 * 1e-6
 
     # Short-horizon chaotic case, before error amplification dominates.
     model = get_model("lorenz")
     theta = np.array([8.0 / 3.0, 28.0, 10.0])
     times = np.linspace(0.0, 1.0, 21)
-    coarse = integrate_rk45(model.rhs, [5.0, 5.0, 5.0], theta, times,
-                            rel_tol=1e-6, abs_tol=1e-8)
-    fine = integrate_rk45(model.rhs, [5.0, 5.0, 5.0], theta, times,
-                          rel_tol=5e-7, abs_tol=5e-9)
+    coarse = at_tolerances(1e-6, 1e-8, model.rhs, [5.0, 5.0, 5.0], theta, times)
+    fine = at_tolerances(5e-7, 5e-9, model.rhs, [5.0, 5.0, 5.0], theta, times)
     assert np.max(np.abs(coarse.values - fine.values)) < 10 * 1e-6 * np.max(np.abs(fine.values))
 
 

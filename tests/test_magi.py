@@ -261,6 +261,8 @@ def test_init_fully_observed_nan_rhs_falls_back():
         jac_param=lambda x, th, t: np.full(np.shape(x) + (1,), np.nan),
         positive_params=(True,),
         theta_box=((1e-6, 100.0),),
+        log_states=False,
+        oscillatory=False,
     )
     times = magi.uniform_grid(0.0, 1.0, 11)
     obs = ObservationSet(times=times, values=np.exp(-times)[:, None], mask=(True,))
@@ -310,6 +312,8 @@ def test_linear_ode_posterior_recovery():
         jac_param=lambda x, th, t: -np.asarray(x)[..., None],
         positive_params=(True,),
         theta_box=((1e-6, 100.0),),
+        log_states=False,
+        oscillatory=False,
     )
     theta_true = 0.8
     times = magi.uniform_grid(0.0, 3.0, 41)
@@ -319,7 +323,7 @@ def test_linear_ode_posterior_recovery():
     obs = ObservationSet(times=times[::2], values=values, mask=(True,))
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(decay, grid, obs, n_iter=800)
-    fits = magi.prepare_fits(decay, grid, obs, False, init)
+    fits = magi.prepare_fits(decay, grid, obs, init)
     problem = magi.make_problem(decay, grid, obs, fits)
     post = magi.run_inference(problem, init, n_warmup=800, n_samples=800, seed=5)
     theta_draws = post.theta_draws()[:, 0]
@@ -400,8 +404,8 @@ def test_extended_forecast_keeps_every_init_flag(monkeypatch):
     monkeypatch.setattr(magi, "_continue_past",
                         lambda *args: (real_continue(*args)[0], False))
     post = magi.forecast_extended_grid(regime.model(), regime.master_times(),
-                                       regime.n_grid_insample, obs, use_fourier_prior=False,
-                                       n_warmup=5, n_samples=5, seed=0, init_budget=50)
+                                       regime.n_grid_insample, obs, n_warmup=5, n_samples=5,
+                                       seed=0, init_budget=50)
     assert post.flags[:2] == ("init-fallback-constant", "forecast-init-constant")
 
 
@@ -415,6 +419,5 @@ def test_gp_fit_flag_reaches_the_run():
     values = truth.values.copy()
     values[:, 2] = 3.0
     obs = ObservationSet(times=times, values=values, mask=(True, True, True))
-    post = magi.fit_magi(model, times, obs, use_fourier_prior=False, n_warmup=10, n_samples=10,
-                         seed=0, init_budget=50)
+    post = magi.fit_magi(model, times, obs, n_warmup=10, n_samples=10, seed=0, init_budget=50)
     assert "degenerate-flat-data" in post.flags

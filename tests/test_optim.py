@@ -9,7 +9,7 @@ def test_first_step_moves_by_lr_times_sign():
     g = np.array([0.3, -2.0, 1e-3, -7.5])
     p0 = np.array([1.0, -1.0, 0.5, 2.0])
     p = p0.copy()
-    adam = Adam(p, lr=0.05, eps=1e-8)
+    adam = Adam(p, lr=0.05)
     adam.step(p, g)
     np.testing.assert_allclose(p, p0 - 0.05 * g / (np.abs(g) + 1e-8), rtol=1e-15)
 
@@ -20,7 +20,7 @@ def test_second_step_matches_bias_corrected_closed_form():
     g2 = np.array([-0.25, 3.0, 2.0])
     p0 = np.array([0.1, 0.2, 0.3])
     p = p0.copy()
-    adam = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    adam = Adam(p, lr=lr)
     adam.step(p, g1)
     adam.step(p, g2)
 
@@ -36,7 +36,7 @@ def test_second_step_matches_bias_corrected_closed_form():
 def test_zero_gradient_leaves_parameters_unchanged():
     p0 = np.array([1.5, -0.5, 0.0])
     p = p0.copy()
-    adam = Adam(p)
+    adam = Adam(p, lr=0.01)
     for _ in range(3):
         adam.step(p, np.zeros(3))
     assert np.array_equal(p, p0)

@@ -196,6 +196,8 @@ def test_train_linear_ode_recovers_theta():
         jac_param=lambda x, th, t: -np.asarray(x)[..., None],
         positive_params=(True,),
         theta_box=((1e-6, 100.0),),
+        log_states=False,
+        oscillatory=False,
     )
     theta_true = 0.8
     times = magi.uniform_grid(0.0, 3.0, 61)
@@ -268,6 +270,8 @@ def _nan_model(rhs_calls=None):
         jac_param=lambda x, th, t: np.zeros(np.shape(x)[:-1] + (1, 1)),
         positive_params=(True,),
         theta_box=((1e-6, 100.0),),
+        log_states=False,
+        oscillatory=False,
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from odebench import sampler
 from odebench.sampler import (
     ChainResult,
     CompiledTarget,
@@ -110,9 +111,10 @@ def test_dual_averaging_monotone_directions():
     assert all(b > a for a, b in zip(up, up[1:]))
 
 
-def test_leapfrog_budget_respected():
+def test_leapfrog_budget_respected(monkeypatch):
     for depth in (3, 5):
-        cfg = NutsConfig(n_warmup=100, n_samples=100, seed=2, max_tree_depth=depth)
+        monkeypatch.setattr(sampler, "MAX_TREE_DEPTH", depth)
+        cfg = NutsConfig(n_warmup=100, n_samples=100, seed=2)
         res = nuts_sample(std_normal, np.zeros(4), cfg)
         assert res.n_leapfrog <= res.n_transitions * (2 ** depth - 1)
 
@@ -182,8 +184,6 @@ def test_step_size_probe_on_a_stiff_target_does_not_warn():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        NutsConfig(max_tree_depth=0)
     with pytest.raises(ValueError):
         NutsConfig(n_samples=0)
 
