@@ -12,7 +12,14 @@ from .experiments import (
     run_study,
     simulate_dataset,
 )
-from .gp import GpKernelMats, MaternHyper, build_kernel_mats, gp_smooth_fit, matern_eval
+from .gp import (
+    GpKernelMats,
+    MaternHyper,
+    build_kernel_mats,
+    gp_smooth_fit,
+    kernel_matrices,
+    matern_eval,
+)
 from .integrate import IntegrationError, Trajectory, integrate_rk45
 from .magi import (
     DiscretizationGrid,

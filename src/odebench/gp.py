@@ -25,7 +25,8 @@ differences of grid points differ in their last bits, so there are more:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -41,6 +42,7 @@ __all__ = [
     "GpFitError",
     "ConditioningError",
     "matern_eval",
+    "kernel_matrices",
     "build_kernel_mats",
     "gp_smooth_fit",
     "dominant_half_period",
@@ -153,48 +155,38 @@ def matern_eval(hyper: MaternHyper, s: float, t: float, order: tuple[int, int] =
     return float(-k2)
 
 
-@dataclass(frozen=True)
-class GpKernelMats:
-    """Kernel matrix bundle on a shared grid.
+class GpKernelMats(NamedTuple):
+    """What the MAGI target reads of one component's kernel on the grid.
 
-    K    kernel matrix (jitter applied only if its Cholesky required it)
-    dK   d/ds K(s,t), the derivative-by-first-argument cross matrix
-    Kd   d/dt K(s,t) = dK^T
-    ddK  d^2/(ds dt) K(s,t), stored without jitter
-    m    gradient predictor dK @ K^{-1}
-    C    conditional covariance of the GP gradient,
-         (ddK + DDK_JITTER*I) - dK @ K^{-1} @ Kd
+    mean    the GP prior mean
+    chol_K  lower Cholesky factor of K (jitter added only if it was needed)
+    m       gradient predictor dK @ K^{-1}
+    chol_C  lower Cholesky factor of the GP gradient's conditional covariance
+            C = (ddK + DDK_JITTER*I) - dK @ K^{-1} @ Kd
     """
 
-    grid: np.ndarray
-    hyper: MaternHyper
-    K: np.ndarray
-    dK: np.ndarray
-    Kd: np.ndarray
-    ddK: np.ndarray
+    mean: float
+    chol_K: np.ndarray
     m: np.ndarray
-    C: np.ndarray
-    chol_K: tuple = field(repr=False, default=None)
-    chol_C: tuple = field(repr=False, default=None)
-    k_jitter: float = 0.0
-
-    def Cinv(self) -> np.ndarray:
-        eye = np.eye(self.grid.size)
-        return cho_solve(self.chol_C, eye)
+    chol_C: np.ndarray
 
 
 def _chol_with_retries(mat: np.ndarray, base_jitter: float, label: str):
     """Cholesky of mat, retried with base_jitter x (1, 2, 4, 8) added to its diagonal."""
     for jitter in (0.0, base_jitter, 2.0 * base_jitter, 4.0 * base_jitter, 8.0 * base_jitter):
         try:
-            return cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True), jitter
+            return cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True)
         except np.linalg.LinAlgError:
             pass
     raise ConditioningError(f"Cholesky factorization of {label} failed after jitter retries")
 
 
-def build_kernel_mats(hyper: MaternHyper, grid: np.ndarray) -> GpKernelMats:
-    """Assemble K, its cross-derivative matrices, m and C on the grid."""
+def kernel_matrices(hyper: MaternHyper,
+                    grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(K, dK, Kd, ddK) on the grid: K(s,t), d/ds K, d/dt K = dK^T and d^2/(ds dt) K.
+
+    No jitter is applied to any of them.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with length >= 2")
@@ -204,26 +196,22 @@ def build_kernel_mats(hyper: MaternHyper, grid: np.ndarray) -> GpKernelMats:
     k0, k1, k2, _ = _matern_lag_terms(hyper, lags)
     k1 = k1[inverse]
     sgn = np.sign(u)
-    K = k0[inverse]
-    dK = k1 * sgn
-    Kd = -k1 * sgn
-    ddK = -k2[inverse]
+    return k0[inverse], k1 * sgn, -k1 * sgn, -k2[inverse]
 
-    chol_K, k_jitter = _chol_with_retries(K, K_JITTER_BASE * hyper.amplitude ** 2, "K")
-    K = K + k_jitter * np.eye(grid.size)
 
+def build_kernel_mats(hyper: MaternHyper, grid: np.ndarray) -> GpKernelMats:
+    """Factor K and C on the grid and form m; the matrices themselves are not kept."""
+    K, dK, Kd, ddK = kernel_matrices(hyper, grid)
+    chol_K = _chol_with_retries(K, K_JITTER_BASE * hyper.amplitude ** 2, "K")
     m = cho_solve(chol_K, dK.T).T  # dK @ K^{-1}
-    C = (ddK + DDK_JITTER * np.eye(grid.size)) - m @ Kd
+    C = (ddK + DDK_JITTER * np.eye(K.shape[0])) - m @ Kd
     C = 0.5 * (C + C.T)
     try:
         chol_C = cho_factor(C, lower=True)
     except np.linalg.LinAlgError:
         raise ConditioningError("Cholesky factorization of C failed") from None
-
-    return GpKernelMats(
-        grid=grid, hyper=hyper, K=K, dK=dK, Kd=Kd, ddK=ddK, m=m, C=C,
-        chol_K=chol_K, chol_C=chol_C, k_jitter=k_jitter,
-    )
+    return GpKernelMats(mean=hyper.mean, chol_K=np.tril(chol_K[0]), m=m,
+                        chol_C=np.tril(chol_C[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import least_squares
 
 from .dynamics import OdeModel
@@ -115,7 +115,7 @@ def _blocks(packed: np.ndarray, m: int, d: int,
 
 
 class MagiProblem:
-    """Immutable bundle of model, grid, data and per-component kernel matrices."""
+    """Immutable bundle of model, grid, data and the stacked kernel arrays the target reads."""
 
     def __init__(
         self,
@@ -127,27 +127,24 @@ class MagiProblem:
     ):
         if len(kernels) != model.state_dim:
             raise ValueError("need one kernel bundle per state component")
-        for km in kernels:
-            if km.grid.size != grid.size or not np.array_equal(km.grid, grid.times):
-                raise ValueError("all kernel bundles must live on the problem grid")
         if observations.n_components != model.state_dim:
             raise ValueError("observation set dimensionality mismatch")
         self.model = model
         self.grid = grid
         self.observations = observations
-        self.kernels = kernels
         self.observed = observations.observed_components()
         self.noise_sd_init = dict(noise_sd_init)
 
         m_sz = grid.size
         d = model.state_dim
-        self.mu = np.array([km.hyper.mean for km in kernels])
-        self.Cinv = np.stack([km.Cinv() for km in kernels])
+        eye = np.eye(m_sz)
+        self.mu = np.array([km.mean for km in kernels])
+        self.Cinv = np.stack([cho_solve((km.chol_C, True), eye) for km in kernels])
         self.mmat = np.stack([km.m for km in kernels])
         self.mmat_T = np.ascontiguousarray(self.mmat.transpose(0, 2, 1))
         # Lower Cholesky factors of K: the sampler works in whitened
         # coordinates q with x = mu + L q, so the GP prior is isotropic.
-        self.Lmat = np.stack([np.tril(km.chol_K[0]) for km in kernels])
+        self.Lmat = np.stack([km.chol_K for km in kernels])
 
         # Per observed component: grid rows with usable data and the values.
         self.obs_rows: list[np.ndarray] = []
@@ -474,10 +471,6 @@ class PosteriorSamples:
     step_size: float = float("nan")
     divergence_count: int = 0
     x_deriv_mean: np.ndarray | None = None  # GP-derivative estimate at x_mean
-
-    @property
-    def n_samples(self) -> int:
-        return self.draws.shape[0]
 
     def _draw_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _blocks(self.draws, self.grid_times.size, len(self.component_names),

@@ -39,9 +39,9 @@ MAX_TREE_DEPTH = 10  # doublings per transition, so at most 2**10 - 1 leapfrogs
 
 @dataclass(frozen=True)
 class NutsConfig:
-    n_warmup: int = 3000
-    n_samples: int = 3000
-    seed: int = 0
+    n_warmup: int
+    n_samples: int
+    seed: int
 
     def __post_init__(self):
         if self.n_warmup < 0 or self.n_samples <= 0:
@@ -56,7 +56,7 @@ class ChainResult:
     accept_stats: np.ndarray  # mean tree acceptance statistic per kept transition
     energy_errors: np.ndarray  # |H0 - H_accepted| per kept transition
     n_transitions: int
-    n_leapfrog: int = 0  # leapfrog steps of all transitions; the step-size probe's not counted
+    n_leapfrog: int  # leapfrog steps of all transitions; the step-size probe's not counted
 
     @property
     def mean_accept(self) -> float:

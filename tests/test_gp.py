@@ -6,6 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from odebench import experiments, magi
 from odebench.gp import (
+    DDK_JITTER,
     MATERN_NU,
     MaternHyper,
     _distinct_lags,
@@ -16,6 +17,7 @@ from odebench.gp import (
     build_kernel_mats,
     dominant_half_period,
     gp_smooth_fit,
+    kernel_matrices,
     matern_eval,
 )
 from odebench.selfcheck import (
@@ -90,11 +92,11 @@ def test_distinct_lag_matrices_equal_elementwise_eval():
     grid = magi.DiscretizationGrid.build(times, obs_times).times
     assert np.unique(np.abs(grid[:, None] - grid[None, :])).size < grid.size ** 2
     hyper = MaternHyper(amplitude=1.4, lengthscale=0.35)
-    mats = build_kernel_mats(hyper, grid)
-    assert mats.k_jitter == 0.0
-    for name, order in (("K", (0, 0)), ("dK", (1, 0)), ("Kd", (0, 1)), ("ddK", (1, 1))):
+    mats = kernel_matrices(hyper, grid)
+    for name, mat, order in zip(("K", "dK", "Kd", "ddK"), mats,
+                                ((0, 0), (1, 0), (0, 1), (1, 1))):
         ref = np.array([[matern_eval(hyper, s, t, order) for t in grid] for s in grid])
-        assert np.array_equal(getattr(mats, name), ref), name
+        assert np.array_equal(mat, ref), name
 
 
 def test_matern_antisymmetry_of_first_derivatives():
@@ -111,54 +113,63 @@ def test_kernel_matrices_match_fd_for_random_hypers():
     for _ in range(20):
         hyper = MaternHyper(amplitude=float(rng.uniform(0.3, 3.0)),
                             lengthscale=float(rng.uniform(0.25, 3.0)))
-        mats = build_kernel_mats(hyper, grid)
+        _, dK, Kd, ddK = kernel_matrices(hyper, grid)
         fd_dK, fd_Kd, fd_ddK = fd_kernel_matrices(hyper, grid)
-        assert matrix_relative_error(mats.dK, fd_dK) < 1e-4
-        assert matrix_relative_error(mats.Kd, fd_Kd) < 1e-4
-        assert matrix_relative_error(mats.ddK, fd_ddK) < 1e-4
+        assert matrix_relative_error(dK, fd_dK) < 1e-4
+        assert matrix_relative_error(Kd, fd_Kd) < 1e-4
+        assert matrix_relative_error(ddK, fd_ddK) < 1e-4
+
+
+def conditional_covariance(K, dK, Kd, ddK):
+    """C = (ddK + DDK_JITTER I) - dK K^{-1} Kd, symmetrized, from the plain matrices."""
+    C = ddK + DDK_JITTER * np.eye(K.shape[0]) - dK @ cho_solve(cho_factor(K, lower=True), Kd)
+    return 0.5 * (C + C.T)
 
 
 def test_dk_is_transpose_of_kd():
-    mats = build_kernel_mats(MaternHyper(1.0, 0.7), np.linspace(0, 3, 17))
-    assert np.allclose(mats.dK, mats.Kd.T, atol=1e-14)
+    _, dK, Kd, _ = kernel_matrices(MaternHyper(1.0, 0.7), np.linspace(0, 3, 17))
+    assert np.allclose(dK, Kd.T, atol=1e-14)
 
 
 def test_minimal_two_point_grid():
-    mats = build_kernel_mats(MaternHyper(1.0, 1.0), np.array([0.0, 0.5]))
-    assert mats.C.shape == (2, 2)
-    assert np.all(np.linalg.eigvalsh(mats.C) > 0)
+    C = conditional_covariance(*kernel_matrices(MaternHyper(1.0, 1.0), np.array([0.0, 0.5])))
+    assert C.shape == (2, 2)
+    assert np.all(np.linalg.eigvalsh(C) > 0)
 
 
 def test_quad_form_identity_on_kernel_column():
-    mats = build_kernel_mats(MaternHyper(1.4, 0.6), np.linspace(0, 2, 12))
-    v = mats.K[:, 0]
+    hyper, grid = MaternHyper(1.4, 0.6), np.linspace(0, 2, 12)
+    K = kernel_matrices(hyper, grid)[0]
+    v = K[:, 0]
     # K^{-1} K e0 = e0, so the quadratic form collapses to K[0,0].
-    assert float(v @ cho_solve(mats.chol_K, v)) == pytest.approx(mats.K[0, 0], rel=1e-6)
+    chol_K = (build_kernel_mats(hyper, grid).chol_K, True)
+    assert float(v @ cho_solve(chol_K, v)) == pytest.approx(K[0, 0], rel=1e-6)
 
 
 def test_quad_form_matches_explicit_inverse():
     rng = np.random.default_rng(1)
-    grid = np.linspace(0.0, 1.0, 5)
-    mats = build_kernel_mats(MaternHyper(0.9, 0.4), grid)
+    hyper, grid = MaternHyper(0.9, 0.4), np.linspace(0.0, 1.0, 5)
+    mats = kernel_matrices(hyper, grid)
+    K, C = mats[0], conditional_covariance(*mats)
+    bundle = build_kernel_mats(hyper, grid)
     for _ in range(5):
         v = rng.standard_normal(5)
-        direct = v @ np.linalg.inv(mats.K) @ v
-        assert rel_err(float(v @ cho_solve(mats.chol_K, v)), direct) < 1e-8
-        direct_c = v @ np.linalg.inv(mats.C) @ v
-        assert rel_err(float(v @ cho_solve(mats.chol_C, v)), direct_c) < 1e-8
+        direct = v @ np.linalg.inv(K) @ v
+        assert rel_err(float(v @ cho_solve((bundle.chol_K, True), v)), direct) < 1e-8
+        direct_c = v @ np.linalg.inv(C) @ v
+        assert rel_err(float(v @ cho_solve((bundle.chol_C, True), v)), direct_c) < 1e-8
 
 
 def test_conditional_covariance_nonnegative_spectrum():
     for amp, ell in [(0.5, 0.3), (2.0, 1.5), (4.0, 14.0), (1.0, 5.0)]:
-        mats = build_kernel_mats(MaternHyper(amp, ell), np.linspace(0, 6, 81))
-        assert np.linalg.eigvalsh(mats.C).min() >= 0.0
+        C = conditional_covariance(*kernel_matrices(MaternHyper(amp, ell), np.linspace(0, 6, 81)))
+        assert np.linalg.eigvalsh(C).min() >= 0.0
 
 
 def test_full_lorenz_grid_construction():
-    grid = magi.uniform_grid(0.0, 8.0, 321)
-    mats = build_kernel_mats(MaternHyper(amplitude=8.0, lengthscale=1.2), grid)
-    assert mats.C.shape == (321, 321)
-    assert np.isfinite(mats.m).all()
+    hyper, grid = MaternHyper(amplitude=8.0, lengthscale=1.2), magi.uniform_grid(0.0, 8.0, 321)
+    assert conditional_covariance(*kernel_matrices(hyper, grid)).shape == (321, 321)
+    assert np.isfinite(build_kernel_mats(hyper, grid).m).all()
 
 
 def test_gp_smooth_fit_noiseless_sine():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -62,11 +64,12 @@ def test_whitened_value_equals_plain_value(seir_small):
 
     fvals = model.rhs(x, theta, grid.times)
     gp_term = mech_term = 0.0
-    for c, km in enumerate(problem.kernels):
-        xc = x[:, c] - km.hyper.mean
-        gp_term += float(xc @ cho_solve(km.chol_K, xc))
+    for c, fit in seir_small["fits"].items():
+        km = gp.build_kernel_mats(fit.hyper, grid.times)
+        xc = x[:, c] - fit.hyper.mean
+        gp_term += float(xc @ cho_solve((km.chol_K, True), xc))
         resid = fvals[:, c] - km.m @ xc
-        mech_term += float(resid @ km.Cinv() @ resid)
+        mech_term += float(resid @ cho_solve((km.chol_C, True), resid))
 
     obs_term = norm_term = 0.0
     for j, c in enumerate(problem.observed):
@@ -112,6 +115,44 @@ def test_observation_order_is_set_semantics(seir_small):
     assert v1 == v2
     with pytest.raises(ValueError):
         ObservationSet(times=obs.times[::-1].copy(), values=obs.values.copy(), mask=obs.mask)
+
+
+def _reachable(obj):
+    """Every object reachable from obj through instance attributes and containers."""
+    seen, stack = {}, [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen[id(o)] = o
+        if isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif hasattr(o, "__dict__") and not callable(o):
+            stack.extend(vars(o).values())
+    return list(seen.values())
+
+
+def test_problem_keeps_only_the_four_stacked_kernel_arrays(seir_small, monkeypatch):
+    """A problem retains mu, L, m, m^T and C^{-1}; each kernel bundle is garbage once stacked."""
+    predictors = []
+
+    def recording(hyper, grid):
+        km = gp.build_kernel_mats(hyper, grid)
+        predictors.append(weakref.ref(km.m))
+        return km
+
+    monkeypatch.setattr(magi, "build_kernel_mats", recording)
+    problem = magi.make_problem(seir_small["model"], seir_small["grid"], seir_small["obs"],
+                                seir_small["fits"])
+    gc.collect()
+    m, d = problem.sizes[:2]
+    reachable = _reachable(problem)
+    values = sum(a.nbytes for a in reachable if isinstance(a, np.ndarray)) // 8
+    assert 4 * d * m * m <= values <= 4 * d * m * m + 4 * d * m
+    assert not any(isinstance(o, gp.GpKernelMats) for o in reachable)
+    assert len(predictors) == d and all(ref() is None for ref in predictors)
 
 
 def test_missing_component_bookkeeping():
@@ -165,12 +206,15 @@ def test_huge_sigma_leaves_mech_term_in_charge(seir_small):
     with_data = [value_at(b, magi.LOG_SIGMA_HI) for b in betas]
 
     # Mechanistic + GP objective only (no observation terms).
+    chol_Ks = [(gp.build_kernel_mats(fit.hyper, problem.grid.times).chol_K, True)
+               for fit in seir_small["fits"].values()]
+
     def mech_only(beta):
         th = theta.copy()
         th[0] = beta
         xc = (x - problem.mu).T
-        gp_term = sum(float(xc[c] @ cho_solve(km.chol_K, xc[c]))
-                      for c, km in enumerate(problem.kernels))
+        gp_term = sum(float(xc[c] @ cho_solve(chol_K, xc[c]))
+                      for c, chol_K in enumerate(chol_Ks))
         fvals = problem.model.rhs(x, th, problem.grid.times)
         gdot = np.matmul(problem.mmat, xc[:, :, None])[:, :, 0]
         resid = fvals.T - gdot

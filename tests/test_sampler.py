@@ -185,7 +185,9 @@ def test_step_size_probe_on_a_stiff_target_does_not_warn():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NutsConfig(n_samples=0)
+        NutsConfig(n_warmup=10, n_samples=0, seed=0)
+    with pytest.raises(ValueError):
+        NutsConfig(n_warmup=-1, n_samples=10, seed=0)
 
 
 def test_effective_sample_size_iid_vs_correlated():
@@ -225,7 +227,7 @@ def test_effective_sample_size_of_frozen_chain_is_zero():
 def test_chain_result_properties():
     res = ChainResult(draws=np.zeros((10, 2)), step_size=0.1, divergence_count=2,
                       accept_stats=np.full(10, 0.9), energy_errors=np.zeros(10),
-                      n_transitions=20)
+                      n_transitions=20, n_leapfrog=60)
     assert res.divergence_rate == pytest.approx(0.2)
     assert res.mean_accept == pytest.approx(0.9)
 
