@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,52 +97,63 @@ def _views(flat: np.ndarray, widths: list[int]):
 
 
 class _Sweep:
-    """The (m, width) arrays of one dual sweep of a net over m times.
+    """The arrays of one dual sweep of a net over m times.
 
-    The forward sweep writes each layer's activations, tangents and zdots,
-    and each hidden layer's tanh derivative phi = 1 - a^2; the reverse
-    sweep keeps the adjoints of the hidden activations and tangents, and
-    one scratch array per hidden layer.  Training reuses one sweep every
-    epoch, so an epoch allocates no array of this size.  Allocated and
-    freed every epoch, they left enough free memory at the top of the heap
-    for glibc's malloc to return it to the system and fault it back in on
-    the next epoch: about 220 page faults per epoch on the 321-point grid.
+    Layer l's values and time derivatives share one contiguous (2m, width)
+    array ``xs[l]``: rows :m hold the values, rows m: the derivatives, so
+    one GEMM carries both through a layer in each direction.  The forward
+    sweep writes xs and each hidden layer's tanh derivative phi = 1 - a^2
+    into ``phis``, multiplying against ``wts``, contiguous copies of the
+    transposed weights that it refreshes every call: OpenBLAS multiplies a
+    contiguous right operand about twice as fast as a transposed view.  The
+    reverse sweep starts from the output layer's (2m, D) adjoint seed
+    ``adjs[-1]`` and carries it down through ``adjs``, one (2m, width)
+    array per hidden layer, with one (m, width) ``scratch`` array per
+    hidden layer; ``ones`` sums the value-half adjoint rows into the bias
+    gradients.  ``data_resid`` holds the loss's data residual; its
+    unobserved entries stay zero.
+
+    Training reuses one sweep every epoch, so an epoch allocates no array
+    of this size.  Allocated and freed every epoch, they left enough free
+    memory at the top of the heap for glibc's malloc to return it to the
+    system and fault it back in on the next epoch: about 220 page faults
+    per epoch on the 321-point grid.
     """
 
     def __init__(self, widths: list[int], m: int):
         def per_hidden_layer():
             return [None] + [np.empty((m, n)) for n in widths[1:-1]] + [None]
 
-        self.acts = [np.empty((m, n)) for n in widths]
-        self.zdots = [None] + [np.empty((m, n)) for n in widths[1:]]
-        # The output layer is linear: its tangent is its zdot.
-        self.tangents = ([np.empty((m, widths[0]))] + [np.empty((m, n)) for n in widths[1:-1]]
-                         + [self.zdots[-1]])
+        self.m = m
+        self.xs = [np.empty((2 * m, n)) for n in widths]
+        self.wts = [np.empty((n_in, n_out)) for n_in, n_out in zip(widths[:-1], widths[1:])]
         self.phis = per_hidden_layer()
-        self.abar = per_hidden_layer()
-        self.vbar = per_hidden_layer()
+        self.adjs = [None] + [np.empty((2 * m, n)) for n in widths[1:]]
         self.scratch = per_hidden_layer()
+        self.ones = np.ones(m)
+        self.data_resid = np.zeros((m, widths[-1]))
 
 
 def _dual_forward(net: MlpNet, t: np.ndarray, sweep: _Sweep) -> None:
     """Value and exact time derivative of the network at times t, into sweep.
 
-    sweep.acts[-1] and sweep.tangents[-1] become N(t) and dN/dt; the zdots
-    and phis stay for the reverse sweep.
+    The halves of sweep.xs[-1] become N(t) and dN/dt; the hidden layers'
+    xs and phis stay for the reverse sweep.
     """
-    acts, tangents, zdots, phis = sweep.acts, sweep.tangents, sweep.zdots, sweep.phis
-    acts[0][:, 0] = net.normalize(t)
-    tangents[0].fill(net.time_scale)
+    xs, phis, m = sweep.xs, sweep.phis, sweep.m
+    xs[0][:m, 0] = net.normalize(t)
+    xs[0][m:] = net.time_scale
     n_layers = len(net.weights)
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = np.matmul(acts[l], w.T, out=acts[l + 1])
+    for l, (w, b, wt) in enumerate(zip(net.weights, net.biases, sweep.wts)):
+        np.copyto(wt, w.T)
+        x = np.matmul(xs[l], wt, out=xs[l + 1])
+        z, zdot = x[:m], x[m:]
         z += b
-        zdot = np.matmul(tangents[l], w.T, out=zdots[l + 1])
         if l < n_layers - 1:
             a = np.tanh(z, out=z)
             phi = np.multiply(a, a, out=phis[l + 1])
             np.subtract(1.0, phi, out=phi)
-            np.multiply(phi, zdot, out=tangents[l + 1])
+            zdot *= phi
 
 
 def forward_with_time_derivative(net: MlpNet, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,61 +161,67 @@ def forward_with_time_derivative(net: MlpNet, t: np.ndarray) -> tuple[np.ndarray
     t = np.asarray(t, dtype=float)
     sweep = _Sweep(net.widths, t.size)
     _dual_forward(net, t, sweep)
-    return sweep.acts[-1], sweep.tangents[-1]
+    out = sweep.xs[-1]
+    return out[:t.size], out[t.size:]
 
 
-def _backward_dual(net: MlpNet, sweep: _Sweep, abar, vbar, grads_w, grads_b) -> None:
+def _backward_dual(net: MlpNet, sweep: _Sweep, grads_w, grads_b) -> None:
     """Backpropagate adjoints of (value, derivative) through the dual pass.
 
-    abar and vbar are the adjoints of N(t) and dN/dt.  Writes each layer's
-    weight and bias gradients into grads_w and grads_b.
+    The seed sweep.adjs[-1] holds the adjoints of N(t) in rows :m and of
+    dN/dt in rows m:.  Writes each layer's weight and bias gradients into
+    grads_w and grads_b.
     """
-    acts, tangents, zdots, phis = sweep.acts, sweep.tangents, sweep.zdots, sweep.phis
+    xs, phis, m = sweep.xs, sweep.phis, sweep.m
+    adj = sweep.adjs[-1]
     for l in range(len(net.weights) - 1, -1, -1):
         if phis[l + 1] is not None:
-            # zbar = phi abar - 2 a phi zdot vbar and zdotbar = phi vbar,
-            # each formed in the buffer of the adjoint it replaces.
-            phi = phis[l + 1]
-            cross = np.multiply(-2.0, acts[l + 1], out=sweep.scratch[l + 1])
-            cross *= phi
-            cross *= zdots[l + 1]
+            # With v = phi zdot the layer's derivative rows, zbar = phi abar
+            # - 2 a v vbar and zdotbar = phi vbar, each formed in the rows of
+            # the adjoint it replaces.
+            phi, abar, vbar = phis[l + 1], adj[:m], adj[m:]
+            cross = np.multiply(-2.0, xs[l + 1][:m], out=sweep.scratch[l + 1])
+            cross *= xs[l + 1][m:]
             cross *= vbar
             vbar *= phi
             abar *= phi
             abar += cross
-        np.add(abar.T @ acts[l], vbar.T @ tangents[l], out=grads_w[l])
-        abar.sum(axis=0, out=grads_b[l])
+        np.matmul(adj.T, xs[l], out=grads_w[l])
+        np.matmul(sweep.ones, adj[:m], out=grads_b[l])
         if l > 0:
-            abar = np.matmul(abar, net.weights[l], out=sweep.abar[l])
-            vbar = np.matmul(vbar, net.weights[l], out=sweep.vbar[l])
+            adj = np.matmul(adj, net.weights[l], out=sweep.adjs[l])
 
 
 @dataclass(frozen=True)
 class PinnLoss:
     """The PINN loss on one grid and data set, for nets of one shape.
 
-    rows, cols, values hold every observed entry (grid row, component,
-    value); n_obs is the number of observation times.  ``train_pinn`` builds
-    one and calls it every epoch: each call overwrites the sweep buffers, so
-    its results depend on its arguments alone.
+    observed marks the (grid row, component) entries that hold data and
+    targets holds their values (zero elsewhere); n_obs is the number of
+    observation times.  ``train_pinn`` builds one and calls it every epoch:
+    each call overwrites the sweep buffers, so its results depend on its
+    arguments alone.
     """
 
     model: OdeModel
     times: np.ndarray
     lam: float
     n_obs: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
+    observed: np.ndarray
+    targets: np.ndarray
     sweep: _Sweep
 
     @classmethod
     def build(cls, model: OdeModel, data: ObservationSet, grid: DiscretizationGrid,
               lam: float, widths: list[int]) -> "PinnLoss":
         obs_rows, cols = np.nonzero(~np.isnan(data.values))
+        rows = grid.obs_index[obs_rows]
+        observed = np.zeros((grid.times.size, model.state_dim), dtype=bool)
+        observed[rows, cols] = True
+        targets = np.zeros(observed.shape)
+        targets[rows, cols] = data.values[obs_rows, cols]
         return cls(model=model, times=grid.times, lam=lam, n_obs=data.times.size,
-                   rows=grid.obs_index[obs_rows], cols=cols, values=data.values[obs_rows, cols],
-                   sweep=_Sweep(widths, grid.times.size))
+                   observed=observed, targets=targets, sweep=_Sweep(widths, grid.times.size))
 
     def __call__(self, net: MlpNet, theta: np.ndarray, grad: np.ndarray | None = None):
         """(total, physics, data) losses at the given parameters.
@@ -216,16 +233,15 @@ class PinnLoss:
         model, times, lam, n_obs, sweep = self.model, self.times, self.lam, self.n_obs, self.sweep
         m = times.size
         _dual_forward(net, times, sweep)
-        n_out, v_out = sweep.acts[-1], sweep.tangents[-1]
+        n_out, v_out = sweep.xs[-1][:m], sweep.xs[-1][m:]
 
         fvals = model.rhs(n_out, theta, times)
         resid = fvals - v_out
         physics = float(np.sum(resid * resid)) / m
 
-        # Zero-filled (M, D), so the sum runs in the same pairwise order
+        # Zero where unobserved, so the sum runs in the same pairwise order
         # whatever the observation pattern.
-        data_resid = np.zeros_like(n_out)
-        data_resid[self.rows, self.cols] = n_out[self.rows, self.cols] - self.values
+        data_resid = np.subtract(n_out, self.targets, out=sweep.data_resid, where=self.observed)
         data_term = (lam / n_obs) * float(np.sum(data_resid * data_resid))
         total = physics + data_term
         if grad is None:
@@ -233,12 +249,17 @@ class PinnLoss:
 
         jac_x = model.jac_state(n_out, theta, times)
         jac_t = model.jac_param(n_out, theta, times)
-        abar = (2.0 / m) * np.einsum("mc,mcd->md", resid, jac_x)
-        abar += (2.0 * lam / n_obs) * data_resid
-        vbar = -(2.0 / m) * resid
+        seed = sweep.adjs[-1]
+        abar, vbar = seed[:m], seed[m:]
+        np.matmul(resid[:, None, :], jac_x, out=abar[:, None, :])
+        abar *= 2.0 / m
+        data_resid *= 2.0 * lam / n_obs  # its zeros stay zero
+        abar += data_resid
+        np.multiply(resid, -2.0 / m, out=vbar)
         grads_w, grads_b, grad_theta = _views(grad, net.widths)
-        _backward_dual(net, sweep, abar, vbar, grads_w, grads_b)
-        grad_theta[...] = (2.0 / m) * np.einsum("mc,mcp->p", resid, jac_t)
+        _backward_dual(net, sweep, grads_w, grads_b)
+        np.matmul(resid.ravel(), jac_t.reshape(resid.size, -1), out=grad_theta)
+        grad_theta *= 2.0 / m
         return total, physics, data_term
 
 

@@ -165,7 +165,7 @@ def _check_pinn_gradient() -> tuple[bool, str]:
     obs = ObservationSet(times=times[::2], values=rng.standard_normal((5, 3)),
                          mask=(True, True, True))
     grid = magi.DiscretizationGrid.build(times, obs.times)
-    net = pinn.init_mlp([1, 3, 3], 0.0, 1.0, seed=4)
+    net = pinn.init_mlp([1, 4, 4, 3], 0.0, 1.0, seed=4)  # two hidden layers: a hidden-to-hidden layer
     theta = np.array([2.0, 20.0, 8.0])
 
     loss = pinn.PinnLoss.build(model, obs, grid, 10.0, net.widths)
