@@ -19,7 +19,7 @@ import time as _time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .dynamics import OdeModel, get_model
 from .integrate import Trajectory, integrate_rk45
 from .magi import (
     DiscretizationGrid,
-    PosteriorSamples,
     fit_magi,
     forecast_extended_grid,
     forecast_sequential,
     uniform_grid,
 )
 from .observations import ObservationSet
-from .pinn import PinnConfig, TrainedPinn, forward_with_time_derivative, train_pinn
+from .pinn import PinnConfig, forward_with_time_derivative, train_pinn
 
 __all__ = [
     "ObservationSet",
@@ -48,6 +47,8 @@ __all__ = [
     "QuantitiesOfInterest",
     "quantities_of_interest",
     "mechanistic_fidelity",
+    "Estimate",
+    "estimate",
     "run_study",
     "run_single",
     "StudyResult",
@@ -351,36 +352,84 @@ def dataset_seed(base_seed: int, regime: RegimeSpec, replicate: int) -> int:
     return derive_seed(base_seed, replicate, "data", regime.name)
 
 
-def _method_seed(base_seed: int, regime: RegimeSpec, replicate: int, tag: str) -> int:
-    return derive_seed(base_seed, replicate, tag, regime.name)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 class RunIdentity(NamedTuple):
     lam: float | None  # the PINN weight; None for MAGI
     lam_text: str  # the ``lambda`` column of results.csv
     tag: str  # method plus lambda: seeds the method, names the artifacts
     key: str  # the manifest key of the run
     config_hash: str  # the configuration a resumed study must match
+    data_seed: int  # seeds the dataset, whatever the method
+    seed: int  # seeds the method
 
 
 def _run_identity(regime: RegimeSpec, method: str, options: dict, replicate: int,
                   base_seed: int, forecast: bool) -> RunIdentity:
-    """Everything that names one (regime, method, options, replicate) run."""
+    """Everything that names or seeds one (regime, method, options, replicate) run."""
     options = dict(options or {})
     lam = float(options.get("lam", PinnConfig.lam)) if method == "pinn" else None
     lam_text = "" if lam is None else f"{lam:g}"
+    tag = method if lam is None else f"{method}:lam={lam:g}"
     chash = config_hash({
         "regime": regime.name, "method": method, "options": options,
         "replicate": replicate, "base_seed": base_seed, "forecast": forecast,
     })
-    return RunIdentity(lam=lam, lam_text=lam_text,
-                       tag=method if lam is None else f"{method}:lam={lam:g}",
+    return RunIdentity(lam=lam, lam_text=lam_text, tag=tag,
                        key=f"{regime.name}|{method}|{lam_text}|{replicate}",
-                       config_hash=chash)
+                       config_hash=chash,
+                       data_seed=dataset_seed(base_seed, regime, replicate),
+                       seed=derive_seed(base_seed, replicate, tag, regime.name))
+
+
+class Estimate(NamedTuple):
+    """What one method makes of one dataset, on the grid it ran on."""
+
+    trajectory: Trajectory  # forecast horizon included when the run forecasts
+    xdot: np.ndarray  # the trajectory's time derivative at trajectory.times
+    theta: np.ndarray
+    theta_ci: np.ndarray | None  # P x 2 equal-tailed 95% interval; None for the PINN
+    flags: tuple[str, ...]
+    save: Callable[[str, str, str], None]  # save(out_dir, run name, config hash)
+
+
+def estimate(regime: RegimeSpec, method: str, options: dict, dataset: ObservationSet,
+             seed: int, forecast: bool) -> Estimate:
+    """Run one method on one dataset; the only place that tells the methods apart.
+
+    MAGI runs the regime's protocol: in-sample, or its extended-grid or
+    sequential forecast.  The PINN trains on the in-sample grid, or on the
+    master grid when the run forecasts.
+    """
+    model = regime.model()
+    if method == "magi":
+        sampling = dict(seed=seed, **options)
+        if not forecast:
+            post = fit_magi(model, regime.insample_times(), dataset, **sampling)
+        elif regime.forecast_protocol == "extended":
+            post = forecast_extended_grid(model, regime.master_times(), regime.n_grid_insample,
+                                          dataset, **sampling)
+        else:
+            post = forecast_sequential(model, regime.master_times(), regime.n_grid_insample,
+                                       regime.points_per_step, dataset, **sampling)
+
+        def save_posterior(out_dir: str, name: str, chash: str) -> None:
+            replace(post, config_hash=chash).save(os.path.join(out_dir, f"posterior_{name}"))
+
+        return Estimate(Trajectory(times=post.grid_times, values=post.x_mean), post.x_deriv_mean,
+                        post.theta_mean, post.theta_ci, post.flags, save_posterior)
+    if method == "pinn":
+        times = regime.master_times() if forecast else regime.insample_times()
+        trained = train_pinn(PinnConfig(seed=seed, **options), model, dataset,
+                             DiscretizationGrid.build(times, dataset.times))
+        values, xdot = forward_with_time_derivative(trained.net, times)
+
+        def save_network(out_dir: str, name: str, chash: str) -> None:
+            prefix = os.path.join(out_dir, f"network_{name}")
+            trained.net.to_json(prefix + ".json")
+            trained.history_to_csv(prefix + "_loss.csv")
+
+        return Estimate(Trajectory(times=times, values=values), xdot, trained.theta_hat, None,
+                        trained.flags, save_network)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def run_single(
@@ -392,7 +441,7 @@ def run_single(
     forecast: bool = False,
     out_dir: str | None = None,
 ) -> tuple[list[tuple], dict]:
-    """Simulate one dataset, run one method, compute all metrics.
+    """Simulate one dataset, ``estimate`` with one method, compute all metrics.
 
     ``options`` reach the method unchanged: the keyword arguments of
     ``fit_magi`` and the forecast functions past seed, or the fields of
@@ -410,111 +459,60 @@ def run_single(
     model = regime.model()
     options = dict(options or {})
     run_id = _run_identity(regime, method, options, replicate, base_seed, forecast)
-    data_seed = dataset_seed(base_seed, regime, replicate)
-    seed = _method_seed(base_seed, regime, replicate, run_id.tag)
-    dataset = simulate_dataset(regime, data_seed)
+    dataset = simulate_dataset(regime, run_id.data_seed)
     truth = ground_truth(regime)
 
     eval_times = regime.eval_times() if forecast else None  # fail before the method runs
     started = _time.perf_counter()
-    flags: list[str] = []
-    insample_times = regime.insample_times()
-
-    if method == "magi":
-        sampling = dict(seed=seed, **options)
-        if not forecast:
-            post = fit_magi(model, insample_times, dataset, **sampling)
-        elif regime.forecast_protocol == "extended":
-            post = forecast_extended_grid(model, regime.master_times(), regime.n_grid_insample,
-                                          dataset, **sampling)
-        else:
-            post = forecast_sequential(model, regime.master_times(), regime.n_grid_insample,
-                                       regime.points_per_step, dataset, **sampling)
-        post.config_hash = run_id.config_hash
-        flags.extend(post.flags)
-        est = Trajectory(times=post.grid_times, values=post.x_mean)
-        theta_hat = post.theta_mean
-        n_in = regime.n_grid_insample
-        deriv_in = post.x_deriv_mean[:n_in]
-        x_in = post.x_mean[:n_in]
-        theta_ci = post.theta_ci
-        if out_dir is not None:
-            prefix = os.path.join(out_dir, f"posterior_{regime.name}_{run_id.tag.replace(':', '_')}_rep{replicate}")
-            post.save(prefix)
-    elif method == "pinn":
-        grid_times = regime.master_times() if forecast else insample_times
-        grid = DiscretizationGrid.build(grid_times, dataset.times)
-        trained: TrainedPinn = train_pinn(PinnConfig(seed=seed, **options), model, dataset, grid)
-        flags.extend(trained.flags)
-        n_vals, v_vals = forward_with_time_derivative(trained.net, grid_times)
-        est = Trajectory(times=grid_times, values=n_vals)
-        theta_hat = trained.theta_hat
-        n_in = regime.n_grid_insample
-        x_in, deriv_in = n_vals[:n_in], v_vals[:n_in]
-        theta_ci = None
-        if out_dir is not None:
-            prefix = os.path.join(out_dir, f"network_{regime.name}_{run_id.tag.replace(':', '_')}_rep{replicate}")
-            trained.net.to_json(prefix + ".json")
-            trained.history_to_csv(prefix + "_loss.csv")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    est = estimate(regime, method, options, dataset, run_id.seed, forecast)
+    if out_dir is not None:
+        est.save(out_dir, f"{regime.name}_{run_id.tag.replace(':', '_')}_rep{replicate}",
+                 run_id.config_hash)
     wall = _time.perf_counter() - started
-    flag_text = ";".join(flags)
+    flag_text = ";".join(est.flags)
     rows: list[tuple] = []
 
-    def add(name: str, metric: str, value: float):
-        rows.append((regime.name, method, run_id.lam_text, replicate, seed,
-                     name, metric, _fmt(float(value)), flag_text))
+    def add(metric: str, names, values) -> None:
+        rows.extend((regime.name, method, run_id.lam_text, replicate, run_id.seed,
+                     name, metric, f"{float(value):.17g}", flag_text)
+                    for name, value in zip(names, values))
 
-    rmse_in = compute_rmse(est, truth, regime.obs_times())
-    for c, comp in enumerate(model.component_names):
-        add(comp, "rmse_insample", rmse_in[c])
-
-    for p_i, pname in enumerate(model.param_names):
-        add(pname, "abs_error_theta", abs(theta_hat[p_i] - regime.theta_true[p_i]))
-
-    fid = mechanistic_fidelity(x_in, deriv_in, model, theta_hat, insample_times)
-    for c, comp in enumerate(model.component_names):
-        add(comp, "mech_fidelity", fid[c])
-
-    if theta_ci is not None:
-        hit = (theta_ci[:, 0] <= np.asarray(regime.theta_true)) & \
-              (np.asarray(regime.theta_true) <= theta_ci[:, 1])
-        for p_i, pname in enumerate(model.param_names):
-            add(pname, "ci_hit", float(hit[p_i]))
-
+    comps, params = model.component_names, model.param_names
+    theta_true = np.asarray(regime.theta_true)
+    n_in = regime.n_grid_insample
+    add("rmse_insample", comps, compute_rmse(est.trajectory, truth, regime.obs_times()))
+    add("abs_error_theta", params, np.abs(est.theta - theta_true))
+    add("mech_fidelity", comps, mechanistic_fidelity(
+        est.trajectory.values[:n_in], est.xdot[:n_in], model, est.theta, regime.insample_times()))
+    if est.theta_ci is not None:
+        lo, hi = est.theta_ci.T
+        add("ci_hit", params, (lo <= theta_true) & (theta_true <= hi))
     if forecast:
-        rmse_fc = compute_rmse(est, truth, eval_times)
-        for c, comp in enumerate(model.component_names):
-            add(comp, "rmse_forecast", rmse_fc[c])
+        add("rmse_forecast", comps, compute_rmse(est.trajectory, truth, eval_times))
         if regime.peak_component is not None:
-            true_qoi = regime_truth_qoi(regime)
-            qoi = quantities_of_interest(theta_hat, est,
+            qoi = quantities_of_interest(est.theta, est.trajectory,
                                          peak_component=regime.peak_component,
                                          value_transform=regime.peak_value_transform)
-            add("R0", "abs_error_R0", abs(qoi.r0 - true_qoi.r0))
-            add("peak_time", "abs_error_peak_time", abs(qoi.peak_time - true_qoi.peak_time))
-            add("peak_intensity", "abs_error_peak_intensity",
-                abs(qoi.peak_intensity - true_qoi.peak_intensity))
+            for name, value, true in zip(("R0", "peak_time", "peak_intensity"), qoi,
+                                         regime_truth_qoi(regime)):
+                add(f"abs_error_{name}", [name], [abs(value - true)])
 
     manifest = {
         "regime": regime.name, "method": method, "lambda": run_id.lam,
-        "replicate": replicate, "seed": seed, "data_seed": data_seed,
-        "config_hash": run_id.config_hash, "wall_time_s": wall, "flags": flags,
+        "replicate": replicate, "seed": run_id.seed, "data_seed": run_id.data_seed,
+        "config_hash": run_id.config_hash, "wall_time_s": wall, "flags": list(est.flags),
     }
     return rows, manifest
 
 
-def _safe_run(args) -> tuple[list[tuple], dict]:
+def _safe_run(job: tuple[RunIdentity, tuple]) -> tuple[list[tuple], dict]:
     """run_single with failures downgraded to an error row (study continues)."""
+    run_id, args = job
     try:
         return run_single(*args)
     except Exception as exc:
-        regime, method, options, replicate, base_seed, forecast = args[:6]
-        lam_text = _run_identity(regime, method, options, replicate, base_seed,
-                                 forecast).lam_text
-        rows = [(regime.name, method, lam_text, replicate, -1, "", "error",
+        regime, method, _, replicate = args[:4]
+        rows = [(regime.name, method, run_id.lam_text, replicate, -1, "", "error",
                  "nan", f"error:{type(exc).__name__}")]
         return rows, {"config_hash": "", "error": f"{type(exc).__name__}: {exc}"}
 
@@ -613,8 +611,8 @@ def run_study(
             if manifest.get(run_id.key, {}).get("config_hash") == run_id.config_hash:
                 skipped += 1
                 continue
-            jobs.append((run_id.key, (regime, method, dict(options or {}), replicate,
-                                      base_seed, forecast, out_dir if save_artifacts else None)))
+            jobs.append((run_id, (regime, method, dict(options or {}), replicate,
+                                  base_seed, forecast, out_dir if save_artifacts else None)))
 
     def handle(key, outcome):
         rows, run_manifest = outcome
@@ -635,12 +633,11 @@ def run_study(
             # Under fork the executor starts all max_workers processes at the
             # first submit, so more workers than jobs would only sit idle.
             with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
-                outcomes = pool.map(_safe_run, [args for _, args in jobs])
-                for (key, args), outcome in zip(jobs, outcomes):
-                    handle(key, outcome)
+                for (run_id, _), outcome in zip(jobs, pool.map(_safe_run, jobs)):
+                    handle(run_id.key, outcome)
         else:
-            for key, args in jobs:
-                handle(key, _safe_run(args))
+            for job in jobs:
+                handle(job[0].key, _safe_run(job))
 
     failed = sum(1 for row in rows_out if row[6] == "error")
     return StudyResult(rows=rows_out, attempted=len(jobs), failed=failed, skipped=skipped)

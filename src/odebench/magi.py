@@ -452,7 +452,7 @@ def _interval95(draws: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.quantile(draws, (0.025, 0.975), axis=0), 0, -1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosteriorSamples:
     """Post-warmup draws over the packed state and the run that made them.
 
@@ -599,19 +599,21 @@ def _sample_posterior(problem: MagiProblem, x: np.ndarray, theta: np.ndarray,
             f"NUTS divergence rate {chain.divergence_rate:.1%} exceeds "
             f"{DIVERGENCE_WARN_RATE:.0%}; treat this run with suspicion")
 
-    post = PosteriorSamples(
+    model = problem.model
+    draws = problem.unwhiten_draws(chain.draws)
+    x_mean = _blocks(draws, problem.grid.size, model.state_dim, model.param_dim)[0].mean(axis=0)
+    return PosteriorSamples(
         grid_times=problem.grid.times,
-        component_names=problem.model.component_names,
-        param_names=problem.model.param_names,
-        sigma_components=tuple(problem.model.component_names[c] for c in problem.observed),
-        draws=problem.unwhiten_draws(chain.draws),
+        component_names=model.component_names,
+        param_names=model.param_names,
+        sigma_components=tuple(model.component_names[c] for c in problem.observed),
+        draws=draws,
         seed=seed,
         flags=tuple(flags),
         step_size=chain.step_size,
         divergence_count=chain.divergence_count,
+        x_deriv_mean=gp_gradient_estimate(problem, x_mean),
     )
-    post.x_deriv_mean = gp_gradient_estimate(problem, post.x_mean)
-    return post
 
 
 def prepare_fits(
@@ -781,5 +783,4 @@ def forecast_sequential(
                                     stage_seed, n_warmup, n_samples)
         stage_flags += samples.flags
 
-    samples.flags = tuple(dict.fromkeys(stage_flags))
-    return samples
+    return replace(samples, flags=tuple(dict.fromkeys(stage_flags)))

@@ -360,6 +360,40 @@ def test_unknown_option_fails_before_the_method_runs(tmp_path, monkeypatch, meth
     assert [row[8] for row in res.rows] == ["error:TypeError"]
 
 
+
+def test_run_single_scores_only_the_estimate(tmp_path, monkeypatch):
+    """Given the truth as its estimate, either method scores 0 on every error
+    metric, and the two methods' rows differ only where they name the method."""
+    regime = tiny_regime(name="tiny-truth")
+    model = regime.model()
+    truth = E.ground_truth(regime)
+    theta = np.asarray(regime.theta_true)
+    xdot = model.rhs(truth.values, theta, truth.times)
+    saved = []
+
+    def truthful_estimate(regime_, method, options, dataset, seed, forecast):
+        ci = np.stack([theta - 0.1, theta + 0.1], axis=1) if method == "magi" else None
+        return E.Estimate(truth, xdot, theta, ci, (), lambda *args: saved.append(method))
+
+    monkeypatch.setattr(E, "estimate", truthful_estimate)
+    rows = {method: E.run_single(regime, method, options, replicate=0, base_seed=1,
+                                 forecast=True, out_dir=str(tmp_path))[0]
+            for method, options in (("magi", {}), ("pinn", {"lam": 10.0}))}
+    assert saved == ["magi", "pinn"]
+    for method, method_rows in rows.items():
+        for metric in ("rmse_insample", "abs_error_theta", "mech_fidelity"):
+            values = [float(r[7]) for r in method_rows if r[6] == metric]
+            assert values == [0.0] * 3, (method, metric)
+    assert [float(r[7]) for r in rows["magi"] if r[6] == "ci_hit"] == [1.0] * 3
+    assert not [r for r in rows["pinn"] if r[6] == "ci_hit"]
+
+    magi_rows = [r for r in rows["magi"] if r[6] != "ci_hit"]
+    assert len(magi_rows) == len(rows["pinn"]) == 3 * 4 + 3
+    for a, b in zip(magi_rows, rows["pinn"]):
+        assert (a[1], a[2]) == ("magi", "") and (b[1], b[2]) == ("pinn", "10")
+        assert a[4] != b[4]
+        assert a[:1] + a[3:4] + a[5:] == b[:1] + b[3:4] + b[5:]
+
 FORECAST_MAGI = {"n_warmup": 5, "n_samples": 5, "init_budget": 50}
 
 
@@ -607,17 +641,35 @@ def test_run_study_pool_has_no_more_workers_than_jobs(monkeypatch):
     assert pools == [2]
 
 
+PINNED = {
+    "magi": ({"n_warmup": 20, "n_samples": 20, "init_budget": 300}, False, {
+        "abs_error_theta": {"beta": 0.08822599751702276, "gamma": 0.0007880274914380259,
+                            "sigma": 0.13146127060061696},
+        "mech_fidelity": {"logE": 0.0108990377103942, "logI": 0.003336020722081624,
+                          "logR": 0.006763591955608124},
+    }),
+    "pinn": ({"lam": 10.0, "epochs": 60}, True, {
+        "abs_error_theta": {"beta": 0.915844432112032, "gamma": 0.470675380617737,
+                            "sigma": 0.11839755764092369},
+        "mech_fidelity": {"logE": 0.6373550091651737, "logI": 0.27248605115815605,
+                          "logR": 1.257170935002681},
+        "rmse_forecast": {"logE": 1.0319249100891195, "logI": 0.4602515114410287,
+                          "logR": 0.6127046362482389},
+    }),
+}
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_small_study_results_pinned():
+@pytest.mark.parametrize("method", sorted(PINNED))
+def test_small_study_results_pinned(method):
     # Values recorded from an earlier commit.  A refactor that claims to
     # leave results.csv unchanged must keep them.
-    res = E.run_study(tiny_regime(), [("magi", {"n_warmup": 20, "n_samples": 20,
-                                                "init_budget": 300})],
-                      replicates=2, base_seed=3)
+    options, forecast, expected = PINNED[method]
+    res = E.run_study(tiny_regime(), [(method, options)], replicates=2, base_seed=3,
+                      forecast=forecast)
     assert res.failed == 0
-    errors = {r[5]: float(r[7]) for r in res.rows if r[3] == 0 and r[6] == "abs_error_theta"}
-    expected = {"beta": 0.08822599751702276, "gamma": 0.0007880274914380259,
-                "sigma": 0.13146127060061696}
-    assert errors.keys() == expected.keys()
-    for name, value in expected.items():
-        assert errors[name] == pytest.approx(value, rel=1e-12), name
+    for metric, values in expected.items():
+        got = {r[5]: float(r[7]) for r in res.rows if r[3] == 0 and r[6] == metric}
+        assert got.keys() == values.keys(), metric
+        for name, value in values.items():
+            assert got[name] == pytest.approx(value, rel=1e-12), (metric, name)

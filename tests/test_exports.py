@@ -5,6 +5,9 @@ import subprocess
 import sys
 
 import odebench
+from odebench import experiments
+
+from conftest import tiny_regime
 
 
 def test_every_exported_name_resolves():
@@ -44,3 +47,24 @@ def test_trace_hooks_rebind_every_name_and_restore_it(tmp_path, monkeypatch):
         tracing.uninstall(undo)
     for (owner, attr), original in zip(owners, before):
         assert getattr(owner, attr) is original, attr
+
+
+def test_trace_hooks_see_every_layer_of_a_run(tmp_path, monkeypatch):
+    """A MAGI and a PINN run under the benchmark's trace hooks open a span in
+    every layer the benchmark reports, so no rebound name is a dead import."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(str(tmp_path))
+    undo = tracing.install(tracer)
+    try:
+        for method, options in (("magi", {"n_warmup": 5, "n_samples": 5, "init_budget": 50}),
+                                ("pinn", {"lam": 10.0, "epochs": 20})):
+            experiments.run_single(tiny_regime(name="tiny-traced"), method, options,
+                                   replicate=0, base_seed=1, out_dir=str(tmp_path / "out"))
+    finally:
+        tracing.uninstall(undo)
+    names = {span.name for span in tracer.spans}
+    for name in ("magi.fit_magi", "pinn.train", "pinn.forward", "experiments.metrics",
+                 "experiments.save"):
+        assert name in names, name

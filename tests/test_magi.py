@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -413,8 +414,11 @@ def test_posterior_samples_roundtrip(tmp_path, seir_small):
     problem = seir_small["problem"]
     init = magi.init_missing_components(seir_small["model"], seir_small["grid"],
                                         seir_small["obs"], n_iter=200)
-    post = magi.run_inference(problem, init, n_warmup=30, n_samples=40, seed=2)
-    post.config_hash = "abc123"
+    post = replace(magi.run_inference(problem, init, n_warmup=30, n_samples=40, seed=2),
+                   config_hash="abc123")
+    with pytest.raises(FrozenInstanceError):
+        post.flags = ()
+    assert np.array_equal(post.x_deriv_mean, magi.gp_gradient_estimate(problem, post.x_mean))
     prefix = str(tmp_path / "post")
     post.save(prefix)
     back = magi.PosteriorSamples.load(prefix)
