@@ -12,9 +12,9 @@ ODE parameters, per-component noise scales) combines, per component:
 Sampling is delegated to the NUTS chain in :mod:`odebench.sampler`.  The
 three protocols share one path: ``_insample_setup`` builds the in-sample
 grid, the gradient-matching initializer and the GP fits; ``run_inference``
-starts a chain from an initializer and ``_sample_posterior`` runs NUTS and
-wraps the draws in ``PosteriorSamples``, which derives every summary from
-them.  ``fit_magi`` is the in-sample protocol.
+is the one way into a chain: it runs NUTS from a given (x, theta, log sigma)
+and wraps the draws in ``PosteriorSamples``, which derives every summary
+from them.  ``fit_magi`` is the in-sample protocol.
 ``forecast_extended_grid`` (epidemic testbed) extends the grid past the
 data; ``forecast_sequential`` (chaotic testbed) starts with ``fit_magi`` and
 then grows the horizon stage by stage from the last draw.  Both forecasts
@@ -123,7 +123,7 @@ class MagiProblem:
         grid: DiscretizationGrid,
         observations: ObservationSet,
         kernels: list[GpKernelMats],
-        noise_sd_init: dict[int, float],
+        log_sigma_init: np.ndarray,
     ):
         if len(kernels) != model.state_dim:
             raise ValueError("need one kernel bundle per state component")
@@ -133,7 +133,7 @@ class MagiProblem:
         self.grid = grid
         self.observations = observations
         self.observed = observations.observed_components()
-        self.noise_sd_init = dict(noise_sd_init)
+        self.log_sigma_init = log_sigma_init  # the chain's log sigma start, per observed component
 
         m_sz = grid.size
         d = model.state_dim
@@ -157,11 +157,13 @@ class MagiProblem:
             self.obs_vals.append(col[keep])
             self.obs_counts.append(int(keep.sum()))
 
-        lo = np.array([b[0] for b in model.theta_box])
-        hi = np.array([b[1] for b in model.theta_box])
-        self.theta_lo, self.theta_hi = lo, hi
+        # The prior box over the packed theta || log sigma tail.
+        n_sigma = len(self.observed)
+        theta_lo, theta_hi = np.array(model.theta_box, dtype=float).T
+        self.tail_lo = np.concatenate([theta_lo, np.full(n_sigma, LOG_SIGMA_LO)])
+        self.tail_hi = np.concatenate([theta_hi, np.full(n_sigma, LOG_SIGMA_HI)])
         self.sizes = (m_sz, d, model.param_dim)  # (M, D, P) of the packed layout
-        self.dim = m_sz * d + model.param_dim + len(self.observed)
+        self.dim = m_sz * d + model.param_dim + n_sigma
 
     def whiten(self, x: np.ndarray, theta: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
         """The packed sampler point: q with x = mu + L q per component, theta, log sigma."""
@@ -188,15 +190,16 @@ def make_problem(
     observations: ObservationSet,
     fits: dict[int, GpFit],
 ) -> MagiProblem:
-    """Assemble kernel bundles from per-component hyperparameter fits."""
+    """Assemble kernel bundles from per-component hyperparameter fits.  Each observed
+    component's log sigma starts at its fit's noise sd, clamped inside the box."""
     kernels = []
-    noise_init = {}
     for c in range(model.state_dim):
         if c not in fits:
             raise ValueError(f"missing hyperparameter fit for component {c}")
         kernels.append(build_kernel_mats(fits[c].hyper, grid.times))
-        noise_init[c] = fits[c].noise_sd
-    return MagiProblem(model, grid, observations, kernels, noise_sd_init=noise_init)
+    log_sigma_init = np.array([math.log(min(max(fits[c].noise_sd, 2e-6), 5e2))
+                               for c in observations.observed_components()])
+    return MagiProblem(model, grid, observations, kernels, log_sigma_init)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +229,15 @@ def make_logdensity_whitened(problem: MagiProblem):
     Cinv, mmat, mmat_T = problem.Cinv, problem.mmat, problem.mmat_T
     observed = problem.observed
     obs_rows, obs_vals, obs_counts = problem.obs_rows, problem.obs_vals, problem.obs_counts
-    theta_lo, theta_hi = problem.theta_lo, problem.theta_hi
+    tail_lo, tail_hi = problem.tail_lo, problem.tail_hi
+    n_traj = sizes[0] * sizes[1]
 
     def logdensity_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        tail = flat[n_traj:]
+        if np.any(tail < tail_lo) or np.any(tail > tail_hi):
+            return -np.inf, np.zeros_like(flat)
         q, theta, log_sigma = _blocks(flat, *sizes)
         q = q.T  # (D, M)
-        if (
-            np.any(theta < theta_lo)
-            or np.any(theta > theta_hi)
-            or np.any(log_sigma < LOG_SIGMA_LO)
-            or np.any(log_sigma > LOG_SIGMA_HI)
-        ):
-            return -np.inf, np.zeros_like(flat)
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             xc = np.matmul(Lmat, q[:, :, None])[:, :, 0]  # (D, M)
@@ -254,8 +254,8 @@ def make_logdensity_whitened(problem: MagiProblem):
             norm_term = 0.0
             sig2 = np.exp(2.0 * log_sigma)
             sse = np.empty(len(observed))
-            for j, c in enumerate(observed):
-                diff = obs_vals[j] - x[obs_rows[j], c]
+            diffs = [obs_vals[j] - x[obs_rows[j], c] for j, c in enumerate(observed)]
+            for j, diff in enumerate(diffs):
                 sse[j] = float(diff @ diff)
                 obs_term += sse[j] / sig2[j]
                 norm_term += obs_counts[j] * log_sigma[j]
@@ -269,8 +269,7 @@ def make_logdensity_whitened(problem: MagiProblem):
             gx = -np.einsum("cm,mcd->md", b, jac_x)
             gx += np.matmul(mmat_T, b[:, :, None])[:, :, 0].T
             for j, c in enumerate(observed):
-                rows = obs_rows[j]
-                gx[rows, c] += (obs_vals[j] - x[rows, c]) / sig2[j]
+                gx[obs_rows[j], c] += diffs[j] / sig2[j]
 
             grad = np.empty_like(flat)
             grad_q, grad_theta, grad_sigma = _blocks(grad, *sizes)
@@ -562,39 +561,29 @@ class PosteriorSamples:
 DIVERGENCE_WARN_RATE = 0.25
 
 
-def _initial_log_sigma(problem: MagiProblem) -> np.ndarray:
-    vals = []
-    for c in problem.observed:
-        sd = problem.noise_sd_init[c]
-        vals.append(math.log(min(max(sd, 2e-6), 5e2)))
-    return np.array(vals)
-
-
 def run_inference(
     problem: MagiProblem,
-    init: InitResult,
+    x: np.ndarray,
+    theta: np.ndarray,
+    log_sigma: np.ndarray,
+    flags: tuple[str, ...],
     *,
     n_warmup: int,
     n_samples: int,
     seed: int,
 ) -> PosteriorSamples:
-    """NUTS over the full joint state from the initializer's point."""
-    return _sample_posterior(problem, init.x, init.theta, _initial_log_sigma(problem),
-                             list(init.flags), seed, n_warmup, n_samples)
-
-
-def _sample_posterior(problem: MagiProblem, x: np.ndarray, theta: np.ndarray,
-                      log_sigma: np.ndarray, flags: list[str], seed: int,
-                      n_warmup: int, n_samples: int) -> PosteriorSamples:
     """NUTS from the whitened image of (x, theta, log_sigma), then unwhiten and flag the draws.
 
+    The draws carry ``flags`` plus a high-divergence flag when the chain
+    earns one, without exact repeats.  Every MAGI chain starts here, and
     ``nuts_sample`` is looked up as this module's global at call time, so a
-    caller that rebinds ``magi.nuts_sample`` sees every chain.
+    caller that rebinds ``magi.run_inference`` or ``magi.nuts_sample`` sees
+    every chain.
     """
     config = NutsConfig(n_warmup=n_warmup, n_samples=n_samples, seed=seed)
     chain = nuts_sample(make_sampler_target(problem), problem.whiten(x, theta, log_sigma), config)
     if chain.divergence_rate > DIVERGENCE_WARN_RATE:
-        flags.append(f"high-divergence-rate:{chain.divergence_rate:.2f}")
+        flags += (f"high-divergence-rate:{chain.divergence_rate:.2f}",)
         warnings.warn(
             f"NUTS divergence rate {chain.divergence_rate:.1%} exceeds "
             f"{DIVERGENCE_WARN_RATE:.0%}; treat this run with suspicion")
@@ -609,7 +598,7 @@ def _sample_posterior(problem: MagiProblem, x: np.ndarray, theta: np.ndarray,
         sigma_components=tuple(model.component_names[c] for c in problem.observed),
         draws=draws,
         seed=seed,
-        flags=tuple(flags),
+        flags=tuple(dict.fromkeys(flags)),
         step_size=chain.step_size,
         divergence_count=chain.divergence_count,
         x_deriv_mean=gp_gradient_estimate(problem, x_mean),
@@ -685,7 +674,8 @@ def fit_magi(
     """In-sample protocol: initialize, fit hyperparameters, sample."""
     grid, init, fits = _insample_setup(model, times, observations, init_budget)
     problem = make_problem(model, grid, observations, fits)
-    return run_inference(problem, init, n_warmup=n_warmup, n_samples=n_samples, seed=seed)
+    return run_inference(problem, init.x, init.theta, problem.log_sigma_init, init.flags,
+                         n_warmup=n_warmup, n_samples=n_samples, seed=seed)
 
 
 def forecast_extended_grid(
@@ -712,7 +702,7 @@ def forecast_extended_grid(
     flags = init_in.flags + (() if continued else ("forecast-init-constant",))
     problem = make_problem(model, DiscretizationGrid.build(full_times, observations.times),
                            observations, fits)
-    return run_inference(problem, InitResult(x=x_full, theta=init_in.theta, flags=flags),
+    return run_inference(problem, x_full, init_in.theta, problem.log_sigma_init, flags,
                          n_warmup=n_warmup, n_samples=n_samples, seed=seed)
 
 
@@ -736,7 +726,8 @@ def forecast_sequential(
     from the boundary state, and kernel hyperparameters are refit on the
     last unit interval of the previous posterior mean.  Returns the last
     stage's posterior, which covers all of ``full_times``, carrying every
-    stage's flags in stage order without exact repeats.
+    stage's flags in stage order without exact repeats: each stage starts its
+    chain with the previous stage's flags plus its own.
     """
     full_times = np.asarray(full_times, dtype=float)
     if (full_times.size - n_insample) % points_per_step != 0:
@@ -748,7 +739,6 @@ def forecast_sequential(
 
     samples = fit_magi(model, full_times[:n_insample], observations, n_warmup=n_warmup,
                        n_samples=n_samples, seed=stage_seeds[0], init_budget=init_budget)
-    stage_flags = list(samples.flags)
 
     for stage_seed in stage_seeds[1:]:
         prev_len = samples.grid_times.size
@@ -758,29 +748,28 @@ def forecast_sequential(
         log_sigma_last = samples.log_sigma_draws()[-1]
         x_init, continued = _continue_past(model, samples.x_draws()[-1], theta_last,
                                            full_times[:new_len])
-        flags = []
+        flags = samples.flags
         if not continued:
-            flags.append("forecast-warmstart-constant")
+            flags += ("forecast-warmstart-constant",)
             warnings.warn("warm-start integration failed; extrapolating the boundary state")
 
         # Refit hyperparameters on the final unit interval of the previous
         # posterior mean (the freshest dynamics the chain has committed to).
         span = full_times[prev_len - 1] - full_times[0]
         per_unit = int(round((prev_len - 1) / span))
-        tail_lo = max(0, prev_len - 1 - per_unit)
+        refit_lo = max(0, prev_len - 1 - per_unit)
         fits = {}
         for c in range(model.state_dim):
             fits[c] = gp_smooth_fit(
-                full_times[tail_lo:prev_len],
-                samples.x_mean[tail_lo:prev_len, c],
+                full_times[refit_lo:prev_len],
+                samples.x_mean[refit_lo:prev_len, c],
                 use_fourier_prior=model.oscillatory,
             )
         flags += _fit_flags(fits)
 
         grid_new = DiscretizationGrid.build(full_times[:new_len], observations.times)
         problem = make_problem(model, grid_new, observations, fits)
-        samples = _sample_posterior(problem, x_init, theta_last, log_sigma_last, flags,
-                                    stage_seed, n_warmup, n_samples)
-        stage_flags += samples.flags
+        samples = run_inference(problem, x_init, theta_last, log_sigma_last, flags,
+                                n_warmup=n_warmup, n_samples=n_samples, seed=stage_seed)
 
-    return replace(samples, flags=tuple(dict.fromkeys(stage_flags)))
+    return samples

@@ -510,14 +510,19 @@ def test_forecast_sequential_keeps_refit_flags(monkeypatch):
 def test_rebound_nuts_sample_sees_every_chain(monkeypatch):
     """Rebinding ``magi.nuts_sample`` and wrapping ``CompiledTarget.func``
     counts every log-density call of every chain and leaves the draws as
-    they are."""
+    they are; every chain, each sequential stage's included, starts through
+    ``magi.run_inference``."""
     regime, args, kwargs = _sequential_inputs()
     insample = (args[0], regime.insample_times(), args[-1])
     plain_fit = magi.fit_magi(*insample, **kwargs)
     plain_seq = magi.forecast_sequential(*args, **kwargs)
 
-    original = magi.nuts_sample
-    counts = []
+    original, original_run = magi.nuts_sample, magi.run_inference
+    counts, runs = [], []
+
+    def counting_run(*a, **kw):
+        runs.append(1)
+        return original_run(*a, **kw)
 
     def counting_nuts(target, init, config):
         counts.append(0)
@@ -530,11 +535,12 @@ def test_rebound_nuts_sample_sees_every_chain(monkeypatch):
         return original(CompiledTarget(func=counted, ctx=target.ctx), init, config)
 
     monkeypatch.setattr(magi, "nuts_sample", counting_nuts)
+    monkeypatch.setattr(magi, "run_inference", counting_run)
     traced_fit = magi.fit_magi(*insample, **kwargs)
-    assert len(counts) == 1
+    assert len(counts) == len(runs) == 1
     traced_seq = magi.forecast_sequential(*args, **kwargs)
     n_steps = (regime.n_grid_total - regime.n_grid_insample) // regime.points_per_step
-    assert len(counts) == 1 + 1 + n_steps
+    assert len(counts) == len(runs) == 1 + 1 + n_steps
     assert all(c > 0 for c in counts)
     assert np.array_equal(traced_fit.draws, plain_fit.draws)
     assert np.array_equal(traced_seq.draws, plain_seq.draws)

@@ -65,6 +65,6 @@ def test_trace_hooks_see_every_layer_of_a_run(tmp_path, monkeypatch):
     finally:
         tracing.uninstall(undo)
     names = {span.name for span in tracer.spans}
-    for name in ("magi.fit_magi", "pinn.train", "pinn.forward", "experiments.metrics",
-                 "experiments.save"):
+    for name in ("magi.fit_magi", "magi.run_inference", "pinn.train", "pinn.forward",
+                 "experiments.metrics", "experiments.save"):
         assert name in names, name

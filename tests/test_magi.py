@@ -21,9 +21,7 @@ def _state_for(problem, seed=0, q_scale=0.05):
     rng = np.random.default_rng(seed)
     init = magi.init_missing_components(problem.model, problem.grid,
                                         problem.observations, n_iter=300)
-    log_sigma = np.array([
-        math.log(max(problem.noise_sd_init.get(c, 0.1), 1e-3)) for c in problem.observed
-    ])
+    log_sigma = np.maximum(problem.log_sigma_init, math.log(1e-3))
     q = problem.whiten(init.x, init.theta, log_sigma)
     q += q_scale * rng.standard_normal(problem.dim)
     return magi._blocks(problem.unwhiten_draws(q[None, :])[0], *problem.sizes)
@@ -370,7 +368,8 @@ def test_linear_ode_posterior_recovery():
     init = magi.init_missing_components(decay, grid, obs, n_iter=800)
     fits = magi.prepare_fits(decay, grid, obs, init)
     problem = magi.make_problem(decay, grid, obs, fits)
-    post = magi.run_inference(problem, init, n_warmup=800, n_samples=800, seed=5)
+    post = magi.run_inference(problem, init.x, init.theta, problem.log_sigma_init, init.flags,
+                              n_warmup=800, n_samples=800, seed=5)
     theta_draws = post.theta_draws()[:, 0]
     sd = theta_draws.std()
     assert abs(post.theta_mean[0] - theta_true) < 3.0 * max(sd, 1e-3)
@@ -380,17 +379,41 @@ def test_run_inference_determinism(seir_small):
     problem = seir_small["problem"]
     init = magi.init_missing_components(seir_small["model"], seir_small["grid"],
                                         seir_small["obs"], n_iter=200)
-    a = magi.run_inference(problem, init, n_warmup=50, n_samples=50, seed=9)
-    b = magi.run_inference(problem, init, n_warmup=50, n_samples=50, seed=9)
+    a = magi.run_inference(problem, init.x, init.theta, problem.log_sigma_init, init.flags,
+                           n_warmup=50, n_samples=50, seed=9)
+    b = magi.run_inference(problem, init.x, init.theta, problem.log_sigma_init, init.flags,
+                           n_warmup=50, n_samples=50, seed=9)
     assert np.array_equal(a.draws, b.draws)
     assert np.array_equal(a.theta_ci, b.theta_ci)
 
 
+def test_target_box_is_closed_on_every_theta_and_log_sigma(seir_small, lorenz_small):
+    """Each theta and log sigma exactly on a bound of its prior box scores
+    finitely; one float step past the bound scores -inf with a zero gradient."""
+    for problem in (seir_small["problem"], lorenz_small["problem"],
+                    make_missing_e_problem()[-1]):
+        target = magi.make_logdensity_whitened(problem)
+        point = problem.whiten(*_state_for(problem))
+        bounds = (list(problem.model.theta_box)
+                  + [(magi.LOG_SIGMA_LO, magi.LOG_SIGMA_HI)] * len(problem.observed))
+        first = problem.dim - len(bounds)  # the packed tail is theta || log sigma
+        for k, (lo, hi) in enumerate(bounds):
+            for bound, outward in ((lo, -np.inf), (hi, np.inf)):
+                probe = point.copy()
+                probe[first + k] = bound
+                assert np.isfinite(target(probe)[0]), (k, bound)
+                probe[first + k] = np.nextafter(bound, outward)
+                value, grad = target(probe)
+                assert value == -np.inf and not grad.any(), (k, bound)
+
+
 def test_run_inference_rejects_theta_outside_box(seir_small):
     problem = seir_small["problem"]
-    init = magi.InitResult(x=seir_small["truth"].values, theta=problem.theta_hi + 1.0)
+    theta_hi = np.array(problem.model.theta_box)[:, 1]
+    init = magi.InitResult(x=seir_small["truth"].values, theta=theta_hi + 1.0)
     with pytest.raises(ValueError):
-        magi.run_inference(problem, init, n_warmup=5, n_samples=5, seed=0)
+        magi.run_inference(problem, init.x, init.theta, problem.log_sigma_init, init.flags,
+                           n_warmup=5, n_samples=5, seed=0)
 
 
 def test_prior_driven_run_stays_finite():
@@ -405,7 +428,8 @@ def test_prior_driven_run_stays_finite():
     problem = magi.make_problem(model, grid, obs, fits)
     init = magi.InitResult(x=np.zeros((17, 3)) + 0.1, theta=np.array([2.0, 20.0, 8.0]))
     with pytest.warns(UserWarning, match="divergence rate"):
-        post = magi.run_inference(problem, init, n_warmup=100, n_samples=100, seed=3)
+        post = magi.run_inference(problem, init.x, init.theta, problem.log_sigma_init,
+                                  init.flags, n_warmup=100, n_samples=100, seed=3)
     assert np.all(np.isfinite(post.x_mean))
     assert any(flag.startswith("high-divergence-rate:") for flag in post.flags)
 
@@ -414,7 +438,8 @@ def test_posterior_samples_roundtrip(tmp_path, seir_small):
     problem = seir_small["problem"]
     init = magi.init_missing_components(seir_small["model"], seir_small["grid"],
                                         seir_small["obs"], n_iter=200)
-    post = replace(magi.run_inference(problem, init, n_warmup=30, n_samples=40, seed=2),
+    post = replace(magi.run_inference(problem, init.x, init.theta, problem.log_sigma_init,
+                                      init.flags, n_warmup=30, n_samples=40, seed=2),
                    config_hash="abc123")
     with pytest.raises(FrozenInstanceError):
         post.flags = ()
