@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
+from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from .dynamics import OdeModel
 from .gp import GpFit, GpKernelMats, build_kernel_mats, gp_smooth_fit
@@ -301,19 +301,61 @@ class InitResult:
     flags: tuple[str, ...] = ()
 
 
+def _gcv_smoothed_values(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values at ``t`` of the cubic smoothing spline with lambda chosen by GCV.
+
+    The spline minimizes sum (y_i - f(t_i))^2 + lambda * int f''^2, so its
+    values are (I + lambda K)^-1 y, with the Reinsch penalty K = Q R^-1 Q^T
+    (Q is n x (n-2) and R is (n-2) x (n-2), both tridiagonal).  One
+    eigendecomposition K = U diag(kappa) U^T makes each evaluation of the
+    generalized cross-validation score (Craven & Wahba 1979) O(n): with
+    s = 1 / (1 + lambda kappa) and z = U^T y,
+    GCV(lambda) = (|(1 - s) z|^2 / n) / (1 - sum(s) / n)^2.
+    Lambda is searched on (0, n) by bounded Brent, the criterion, interval
+    and method of scipy's ``make_smoothing_spline``.  The search is local: where
+    GCV has two basins it can stop at an end of (0, n), not at GCV's minimum.
+    """
+    n = t.size
+    h = np.diff(t)
+    j = np.arange(n - 2)
+    q = np.zeros((n, n - 2))
+    q[j, j] = 1.0 / h[:-1]
+    q[j + 1, j] = -1.0 / h[:-1] - 1.0 / h[1:]
+    q[j + 2, j] = 1.0 / h[1:]
+    r = np.diag((h[:-1] + h[1:]) / 3.0) + np.diag(h[1:-1] / 6.0, 1) + np.diag(h[1:-1] / 6.0, -1)
+    kappa, u = np.linalg.eigh(q @ np.linalg.solve(r, q.T))
+    z = u.T @ y
+
+    def gcv(lam: float) -> float:
+        s = 1.0 / (1.0 + lam * kappa)
+        resid = (1.0 - s) * z
+        return (resid @ resid / n) / (1.0 - s.sum() / n) ** 2
+
+    lam = minimize_scalar(gcv, bounds=(0.0, n), method="bounded").x
+    return u @ (z / (1.0 + lam * kappa))
+
+
 def _interp_and_smooth(obs_t: np.ndarray, obs_y: np.ndarray, grid_t: np.ndarray) -> np.ndarray:
-    """Linear interpolation onto the grid, then GCV cubic-spline smoothing."""
+    """Linear interpolation onto the grid, replaced between the first and last
+    observation by the GCV cubic smoothing spline (lambda searched on (0, n)).
+
+    The spline is the natural cubic interpolant of its own fitted values from
+    ``_gcv_smoothed_values``.  With fewer than 5 observations, or data the
+    spline cannot fit (a non-finite fit), the linear interpolant is kept.
+    """
     linear = np.interp(grid_t, obs_t, obs_y)
     if obs_t.size < 5:
         return linear
     try:
-        spline = make_smoothing_spline(obs_t, obs_y)
-        inside = (grid_t >= obs_t[0]) & (grid_t <= obs_t[-1])
-        out = linear.copy()
-        out[inside] = spline(grid_t[inside])
-        return out
-    except Exception:  # degenerate data; linear interp is an acceptable fallback
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fitted = _gcv_smoothed_values(obs_t, obs_y)
+        spline = CubicSpline(obs_t, fitted, bc_type="natural")
+    except ValueError:  # CubicSpline's non-finite fit; eigh's LinAlgError is a ValueError
         return linear
+    inside = (grid_t >= obs_t[0]) & (grid_t <= obs_t[-1])
+    out = linear.copy()
+    out[inside] = spline(grid_t[inside])
+    return out
 
 
 def _diff_matrices(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,14 +388,16 @@ def init_missing_components(
 ) -> InitResult:
     """Initial trajectories and parameters for the sampler.
 
-    Observed components come from spline-smoothed interpolation of their
-    data.  Theta (and any missing component) then minimizes the squared
-    mismatch between finite-difference trajectory derivatives and the ODE
-    right-hand side.  When every component is observed the trajectory is
-    fixed, and theta comes from one bounded least-squares solve inside
-    ``model.theta_box``.  Otherwise the missing trajectories and theta are
-    fitted jointly by ``n_iter`` Adam steps, with a curvature penalty keeping
-    the free trajectories smooth; ``n_iter`` bounds only that loop.
+    Observed components come from their data's cubic smoothing spline, its
+    lambda chosen by closed-form GCV on (0, n) for n observations
+    (``_interp_and_smooth``).  Theta (and any missing component) then
+    minimizes the squared mismatch between finite-difference trajectory
+    derivatives and the ODE right-hand side.  When every component is
+    observed the trajectory is fixed, and theta comes from one bounded
+    least-squares solve inside ``model.theta_box``.  Otherwise the missing
+    trajectories and theta are fitted jointly by ``n_iter`` Adam steps, with
+    a curvature penalty keeping the free trajectories smooth; ``n_iter``
+    bounds only that loop.
     """
     observed = observations.observed_components()
     if not observed:

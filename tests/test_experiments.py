@@ -649,10 +649,10 @@ def test_run_study_pool_has_no_more_workers_than_jobs(monkeypatch):
 
 PINNED = {
     "magi": ({"n_warmup": 20, "n_samples": 20, "init_budget": 300}, False, {
-        "abs_error_theta": {"beta": 0.08822599751702276, "gamma": 0.0007880274914380259,
-                            "sigma": 0.13146127060061696},
-        "mech_fidelity": {"logE": 0.0108990377103942, "logI": 0.003336020722081624,
-                          "logR": 0.006763591955608124},
+        "abs_error_theta": {"beta": 0.17022995239582595, "gamma": 0.012358558271318876,
+                            "sigma": 0.12857109982562154},
+        "mech_fidelity": {"logE": 0.01659411028447843, "logI": 0.0018121997448910564,
+                          "logR": 0.00800762130140778},
     }),
     "pinn": ({"lam": 10.0, "epochs": 60}, True, {
         "abs_error_theta": {"beta": 0.915844432112032, "gamma": 0.470675380617737,

@@ -239,6 +239,47 @@ def test_init_fully_observed_uses_splines(seir_small):
     assert np.all(init.theta > 0)
 
 
+@pytest.mark.parametrize("regime_name, n_obs", [("seir-full", 41), ("seir-full", 21),
+                                                ("lorenz-chaotic", 81)])
+def test_interp_and_smooth_matches_scipy_gcv_spline(regime_name, n_obs):
+    """The closed-form GCV spline against scipy's make_smoothing_spline at its own GCV lambda."""
+    from scipy.interpolate import make_smoothing_spline
+
+    from odebench import experiments as E
+
+    regime = replace(E.get_regime(regime_name), n_obs=n_obs)
+    grid_t = regime.insample_times()
+    for rep in range(4):
+        data = E.simulate_dataset(regime, E.dataset_seed(0, regime, rep))
+        for c in data.observed_components():
+            t, y = data.component_values(c)
+            assert t.size == n_obs
+            reference = make_smoothing_spline(t, y)(grid_t)
+            miss = np.max(np.abs(magi._interp_and_smooth(t, y, grid_t) - reference))
+            assert miss <= 1e-5 * y.std(), (rep, c, miss / y.std())
+
+
+def test_interp_and_smooth_degenerate_data_keeps_linear(monkeypatch):
+    # A non-finite value leaves no finite fit; a repeated time leaves the
+    # Reinsch penalty without an eigenbasis.  Both keep the linear start.
+    t = magi.uniform_grid(0.0, 1.0, 8)
+    grid_t = magi.uniform_grid(0.0, 1.0, 29)
+    cases = [(t, np.where(t > 0.5, np.nan, np.sin(t))),
+             (t, np.where(t > 0.5, np.inf, np.sin(t))),
+             (np.r_[t[:4], t[3:7]], np.sin(t))]
+    for obs_t, obs_y in cases:
+        assert np.array_equal(magi._interp_and_smooth(obs_t, obs_y, grid_t),
+                              np.interp(grid_t, obs_t, obs_y), equal_nan=True)
+
+    # A defect in the smoothing code is raised, not turned into a linear start.
+    def broken(obs_t, obs_y):
+        raise IndexError("defect")
+
+    monkeypatch.setattr(magi, "_gcv_smoothed_values", broken)
+    with pytest.raises(IndexError):
+        magi._interp_and_smooth(t, np.sin(t), grid_t)
+
+
 def test_init_gradient_matching_on_clean_lorenz():
     model = get_model("lorenz")
     theta_true = np.array([8.0 / 3.0, 28.0, 10.0])
