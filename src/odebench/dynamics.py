@@ -1,7 +1,7 @@
 """ODE model contracts and the two built-in testbed systems.
 
-A model bundles a vectorized right-hand side f(x, theta, t) with analytic
-Jacobians in both the state and the parameters.  All callables accept a
+A model bundles a vectorized right-hand side f(x, theta, t) with its analytic
+vector-Jacobian product and its parameter Jacobian.  All callables accept a
 state array of shape (..., D) and broadcast over the leading axes, so the
 same implementation serves single-point evaluation and whole-grid sweeps.
 """
@@ -26,7 +26,12 @@ class OdeModel:
     """Right-hand-side contract for one dynamical system.
 
     rhs(x, theta, t) maps (..., D) states to (..., D) derivatives.
-    jac_state returns (..., D, D) with entry [c, d] = df_c/dx_d.
+    vjp(x, theta, t, w) contracts a cotangent w of x's shape with the
+    Jacobians: it returns (x_bar, theta_bar), where x_bar[..., d] =
+    sum_c w_c df_c/dx_d has the shape (and memory order) of x and
+    theta_bar[p] = sum over the leading axes and c of w_c df_c/dtheta_p.
+    No (..., D, D) Jacobian is formed; a dense state Jacobian is D calls
+    with unit cotangents.
     jac_param returns (..., D, P) with entry [c, p] = df_c/dtheta_p.
     """
 
@@ -36,7 +41,8 @@ class OdeModel:
     component_names: tuple[str, ...]
     param_names: tuple[str, ...]
     rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    jac_state: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    vjp: Callable[[np.ndarray, np.ndarray, float, np.ndarray],
+                  tuple[np.ndarray, np.ndarray]]
     jac_param: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     # True where the parameter is constrained positive (used by optimizers
     # that work on log-scale) and the sampler's flat prior box.
@@ -79,22 +85,26 @@ def seir_log_rhs(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.nda
     return out
 
 
-def seir_log_jac_state(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarray:
+def seir_log_vjp(state: np.ndarray, theta: np.ndarray, t: float,
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w^T df/dx, sum of w^T df/dtheta) of ``seir_log_rhs`` for a cotangent w."""
     state = np.asarray(state, dtype=float)
     beta, gamma, sigma_e = theta[0], theta[1], theta[2]
     e = np.exp(state[..., 0])
     i = np.exp(state[..., 1])
     r = np.exp(state[..., 2])
     s = 1.0 - e - i - r
-    jac = np.zeros(state.shape[:-1] + (3, 3), dtype=float)
-    jac[..., 0, 0] = -beta * i * (e + s) / e
-    jac[..., 0, 1] = beta * i * (s - i) / e
-    jac[..., 0, 2] = -beta * i * r / e
-    jac[..., 1, 0] = sigma_e * e / i
-    jac[..., 1, 1] = -sigma_e * e / i
-    jac[..., 2, 1] = gamma * i / r
-    jac[..., 2, 2] = -gamma * i / r
-    return jac
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    a = w0 * (i / e)  # w0 df_0/dbeta, divided by s
+    p1 = w1 * (e / i)  # w1 df_1/dsigma_e
+    p2 = w2 * (i / r)  # w2 df_2/dgamma
+    u, v, z = beta * a, sigma_e * p1, gamma * p2
+    x_bar = np.empty_like(state)
+    np.subtract(v, u * (e + s), out=x_bar[..., 0])
+    np.add(u * (s - i) - v, z, out=x_bar[..., 1])
+    np.negative(u * r + z, out=x_bar[..., 2])
+    theta_bar = np.array([np.vdot(a, s), (p2 - w1).sum(), (p1 - w0).sum()])
+    return x_bar, theta_bar
 
 
 def seir_log_jac_param(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -129,20 +139,19 @@ def lorenz_rhs(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarr
     return out
 
 
-def lorenz_jac_state(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarray:
+def lorenz_vjp(state: np.ndarray, theta: np.ndarray, t: float,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w^T df/dx, sum of w^T df/dtheta) of ``lorenz_rhs`` for a cotangent w."""
     state = np.asarray(state, dtype=float)
     beta, rho, sigma = theta[0], theta[1], theta[2]
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
-    jac = np.zeros(state.shape[:-1] + (3, 3), dtype=float)
-    jac[..., 0, 0] = -sigma
-    jac[..., 0, 1] = sigma
-    jac[..., 1, 0] = rho - z
-    jac[..., 1, 1] = -1.0
-    jac[..., 1, 2] = -x
-    jac[..., 2, 0] = y
-    jac[..., 2, 1] = x
-    jac[..., 2, 2] = -beta
-    return jac
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    x_bar = np.empty_like(state)
+    np.add(-sigma * w0 + w1 * (rho - z), w2 * y, out=x_bar[..., 0])
+    np.add(sigma * w0 - w1, w2 * x, out=x_bar[..., 1])
+    np.subtract(-w1 * x, beta * w2, out=x_bar[..., 2])
+    theta_bar = np.array([-np.vdot(w2, z), np.vdot(w1, x), np.vdot(w0, y - x)])
+    return x_bar, theta_bar
 
 
 def lorenz_jac_param(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -162,7 +171,7 @@ SEIR_LOG = OdeModel(
     component_names=("logE", "logI", "logR"),
     param_names=("beta", "gamma", "sigma"),
     rhs=seir_log_rhs,
-    jac_state=seir_log_jac_state,
+    vjp=seir_log_vjp,
     jac_param=seir_log_jac_param,
     positive_params=(True, True, True),
     theta_box=((1e-6, 100.0), (1e-6, 100.0), (1e-6, 100.0)),
@@ -177,7 +186,7 @@ LORENZ = OdeModel(
     component_names=("X", "Y", "Z"),
     param_names=("beta", "rho", "sigma"),
     rhs=lorenz_rhs,
-    jac_state=lorenz_jac_state,
+    vjp=lorenz_vjp,
     jac_param=lorenz_jac_param,
     positive_params=(True, False, True),
     theta_box=((1e-6, 100.0), (-100.0, 100.0), (1e-6, 100.0)),

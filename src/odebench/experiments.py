@@ -517,20 +517,23 @@ def _safe_run(job: tuple[RunIdentity, tuple]) -> tuple[list[tuple], dict]:
         return rows, {"config_hash": "", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _openblas_thread_controls() -> list[tuple]:
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
     """(get, set) thread-count functions of every OpenBLAS this process has loaded.
 
     numpy and scipy each bundle their own OpenBLAS (exporting
     ``scipy_openblas_{get,set}_num_threads`` with an ILP64 ``64_`` suffix in
     numpy's); a system build exports plain ``openblas_*``.  Empty where
-    /proc/self/maps cannot be read or no OpenBLAS is loaded.
+    /proc/self/maps cannot be read or no OpenBLAS is loaded.  Both are loaded
+    once this module is imported (it imports scipy.linalg through ``magi``),
+    so the search runs once per process and forked workers inherit its result.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
                             if "openblas" in line.rsplit("/", 1)[-1]})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -542,7 +545,7 @@ def _openblas_thread_controls() -> list[tuple]:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 controls.append((get, set_))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager

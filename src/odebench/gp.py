@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import Bounds, minimize
 from scipy.special import gammaln, kv
@@ -158,16 +158,19 @@ def matern_eval(hyper: MaternHyper, s: float, t: float, order: tuple[int, int] =
 class GpKernelMats(NamedTuple):
     """What the MAGI target reads of one component's kernel on the grid.
 
+    With K = L L^T, the gradient predictor m = dK K^{-1} acts on x - mu = L q
+    as m L q = A q, so the target needs A, never m:
+
     mean    the GP prior mean
-    chol_K  lower Cholesky factor of K (jitter added only if it was needed)
-    m       gradient predictor dK @ K^{-1}
+    chol_K  L, the lower Cholesky factor of K (jitter added only if it was needed)
+    mL      A = dK L^{-T} = m L, the predictor in whitened coordinates
     chol_C  lower Cholesky factor of the GP gradient's conditional covariance
-            C = (ddK + DDK_JITTER*I) - dK @ K^{-1} @ Kd
+            C = (ddK + DDK_JITTER*I) - dK K^{-1} Kd = (ddK + DDK_JITTER*I) - A A^T
     """
 
     mean: float
     chol_K: np.ndarray
-    m: np.ndarray
+    mL: np.ndarray
     chol_C: np.ndarray
 
 
@@ -200,18 +203,21 @@ def kernel_matrices(hyper: MaternHyper,
 
 
 def build_kernel_mats(hyper: MaternHyper, grid: np.ndarray) -> GpKernelMats:
-    """Factor K and C on the grid and form m; the matrices themselves are not kept."""
-    K, dK, Kd, ddK = kernel_matrices(hyper, grid)
-    chol_K = _chol_with_retries(K, K_JITTER_BASE * hyper.amplitude ** 2, "K")
-    m = cho_solve(chol_K, dK.T).T  # dK @ K^{-1}
-    C = (ddK + DDK_JITTER * np.eye(K.shape[0])) - m @ Kd
-    C = 0.5 * (C + C.T)
+    """Factor K, form A = dK L^{-T} by one triangular solve, and factor C = ddK + jI - A A^T.
+
+    The kernel matrices themselves are not kept.
+    """
+    K, dK, _, ddK = kernel_matrices(hyper, grid)
+    chol_K = np.tril(_chol_with_retries(K, K_JITTER_BASE * hyper.amplitude ** 2, "K")[0])
+    mL = solve_triangular(chol_K, dK.T, lower=True).T  # L^{-1} Kd = A^T, since Kd = dK^T
+    ddK.flat[:: ddK.shape[0] + 1] += DDK_JITTER
+    C = mL @ mL.T  # exactly symmetric: numpy runs a product with its own transpose as syrk
+    np.subtract(ddK, C, out=C)
     try:
         chol_C = cho_factor(C, lower=True)
     except np.linalg.LinAlgError:
         raise ConditioningError("Cholesky factorization of C failed") from None
-    return GpKernelMats(mean=hyper.mean, chol_K=np.tril(chol_K[0]), m=m,
-                        chol_C=np.tril(chol_C[0]))
+    return GpKernelMats(mean=hyper.mean, chol_K=chol_K, mL=mL, chol_C=np.tril(chol_C[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,15 @@ def _blocks(packed: np.ndarray, m: int, d: int,
 
 
 class MagiProblem:
-    """Immutable bundle of model, grid, data and the stacked kernel arrays the target reads."""
+    """Immutable bundle of model, grid, data and the stacked kernel arrays the target reads.
+
+    Per component c, with K = L L^T and A = dK L^{-T} (``GpKernelMats.mL``):
+    ``LA[c]`` is the (2M, M) stack [L; A], which maps whitened q to
+    [x - mu; m (x - mu)], and ``Cinv[c]`` is C^{-1}.  These are the only
+    M x M arrays kept: 3 per component.  The observed data are flat entries
+    ``obs_flat`` = c M + row of the (D, M) trajectory x^T, with values
+    ``obs_vals`` and ``obs_comp``, each entry's position in ``observed``.
+    """
 
     def __init__(
         self,
@@ -139,23 +147,26 @@ class MagiProblem:
         d = model.state_dim
         eye = np.eye(m_sz)
         self.mu = np.array([km.mean for km in kernels])
-        self.Cinv = np.stack([cho_solve((km.chol_C, True), eye) for km in kernels])
-        self.mmat = np.stack([km.m for km in kernels])
-        self.mmat_T = np.ascontiguousarray(self.mmat.transpose(0, 2, 1))
-        # Lower Cholesky factors of K: the sampler works in whitened
-        # coordinates q with x = mu + L q, so the GP prior is isotropic.
-        self.Lmat = np.stack([km.chol_K for km in kernels])
+        # The sampler works in whitened coordinates q with x = mu + L q, so
+        # the GP prior is isotropic; both stacks are filled in place.
+        self.LA = np.empty((d, 2 * m_sz, m_sz))
+        self.Cinv = np.empty((d, m_sz, m_sz))
+        for c, km in enumerate(kernels):
+            self.LA[c, :m_sz] = km.chol_K
+            self.LA[c, m_sz:] = km.mL
+            self.Cinv[c] = cho_solve((km.chol_C, True), eye)
 
-        # Per observed component: grid rows with usable data and the values.
-        self.obs_rows: list[np.ndarray] = []
-        self.obs_vals: list[np.ndarray] = []
-        self.obs_counts: list[int] = []
+        flat, vals, counts = [], [], []
         for c in self.observed:
             col = observations.values[:, c]
             keep = ~np.isnan(col)
-            self.obs_rows.append(grid.obs_index[keep])
-            self.obs_vals.append(col[keep])
-            self.obs_counts.append(int(keep.sum()))
+            flat.append(c * m_sz + grid.obs_index[keep])
+            vals.append(col[keep])
+            counts.append(int(keep.sum()))
+        self.obs_flat = np.concatenate(flat)
+        self.obs_vals = np.concatenate(vals)
+        self.obs_comp = np.repeat(np.arange(len(counts)), counts)
+        self.obs_counts = np.array(counts, dtype=float)
 
         # The prior box over the packed theta || log sigma tail.
         n_sigma = len(self.observed)
@@ -165,12 +176,17 @@ class MagiProblem:
         self.sizes = (m_sz, d, model.param_dim)  # (M, D, P) of the packed layout
         self.dim = m_sz * d + model.param_dim + n_sigma
 
+    @property
+    def L(self) -> np.ndarray:
+        """The lower Cholesky factors of K, a (D, M, M) view of ``LA``."""
+        return self.LA[:, : self.sizes[0]]
+
     def whiten(self, x: np.ndarray, theta: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
         """The packed sampler point: q with x = mu + L q per component, theta, log sigma."""
         packed = np.empty(self.dim)
         q, packed_theta, packed_log_sigma = _blocks(packed, *self.sizes)
         for c in range(self.model.state_dim):
-            q[:, c] = solve_triangular(self.Lmat[c], x[:, c] - self.mu[c], lower=True)
+            q[:, c] = solve_triangular(self.L[c], x[:, c] - self.mu[c], lower=True)
         packed_theta[...] = theta
         packed_log_sigma[...] = log_sigma
         return packed
@@ -180,7 +196,7 @@ class MagiProblem:
         out = draws.copy()
         q, x = _blocks(draws, *self.sizes)[0], _blocks(out, *self.sizes)[0]
         for c in range(self.model.state_dim):
-            x[:, :, c] = q[:, :, c] @ self.Lmat[c].T + self.mu[c]
+            x[:, :, c] = q[:, :, c] @ self.L[c].T + self.mu[c]
         return out
 
 
@@ -221,62 +237,62 @@ def make_logdensity_whitened(problem: MagiProblem):
 
     The trajectory block of the packed argument holds q with x = mu + L q per
     component.  This is the one formulation the sampler runs, for every model.
+    One call makes three batched products: [L; A] q gives x - mu and the GP
+    derivative m (x - mu); C^{-1} r weights the residual r = f(x, theta) - m (x - mu);
+    and [L; A]^T [g; b] with b = C^{-1} r gives the gradient in q, where g is
+    the gradient in x of the ODE and data terms.  The ODE enters through one
+    ``model.vjp`` with cotangent b.
     """
     model = problem.model
     sizes = problem.sizes
+    m_sz, d = sizes[:2]
     times = problem.grid.times
-    mu, Lmat = problem.mu, problem.Lmat
-    Cinv, mmat, mmat_T = problem.Cinv, problem.mmat, problem.mmat_T
-    observed = problem.observed
-    obs_rows, obs_vals, obs_counts = problem.obs_rows, problem.obs_vals, problem.obs_counts
+    mu = problem.mu[:, None]
+    LA, Cinv = problem.LA, problem.Cinv
+    LA_T = LA.transpose(0, 2, 1)
+    obs_flat, obs_vals = problem.obs_flat, problem.obs_vals
+    obs_comp, obs_counts = problem.obs_comp, problem.obs_counts
+    # The same entries in the (D, 2M) layout of [g; b].
+    obs_flat_stacked = obs_flat + (obs_flat // m_sz) * m_sz
+    n_sigma = obs_counts.size
     tail_lo, tail_hi = problem.tail_lo, problem.tail_hi
-    n_traj = sizes[0] * sizes[1]
+    n_traj = m_sz * d
 
     def logdensity_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
         tail = flat[n_traj:]
-        if np.any(tail < tail_lo) or np.any(tail > tail_hi):
+        if (tail < tail_lo).any() or (tail > tail_hi).any():
             return -np.inf, np.zeros_like(flat)
         q, theta, log_sigma = _blocks(flat, *sizes)
+        q_flat = flat[:n_traj]
         q = q.T  # (D, M)
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            xc = np.matmul(Lmat, q[:, :, None])[:, :, 0]  # (D, M)
-            x = xc.T + mu
-            gp_term = float(np.sum(q * q))
-
-            fvals = model.rhs(x, theta, times)
-            gdot = np.matmul(mmat, xc[:, :, None])[:, :, 0]
-            resid = fvals.T - gdot
+            xg = np.matmul(LA, q[:, :, None])[:, :, 0]  # (D, 2M): [x - mu; m (x - mu)]
+            xt = xg[:, :m_sz] + mu  # x^T, (D, M)
+            resid = model.rhs(xt.T, theta, times).T - xg[:, m_sz:]
             b = np.matmul(Cinv, resid[:, :, None])[:, :, 0]
-            mech_term = float(np.sum(resid * b))
 
-            obs_term = 0.0
-            norm_term = 0.0
             sig2 = np.exp(2.0 * log_sigma)
-            sse = np.empty(len(observed))
-            diffs = [obs_vals[j] - x[obs_rows[j], c] for j, c in enumerate(observed)]
-            for j, diff in enumerate(diffs):
-                sse[j] = float(diff @ diff)
-                obs_term += sse[j] / sig2[j]
-                norm_term += obs_counts[j] * log_sigma[j]
-
-            value = -0.5 * (gp_term + obs_term + mech_term) - norm_term
-            if not np.isfinite(value):
+            diff = obs_vals - xt.take(obs_flat)
+            w = diff / sig2[obs_comp]
+            dw = diff * w
+            value = (-0.5 * (q_flat @ q_flat + resid.ravel() @ b.ravel() + dw.sum())
+                     - obs_counts @ log_sigma)
+            if not math.isfinite(value):
                 return -np.inf, np.zeros_like(flat)
 
-            jac_x = model.jac_state(x, theta, times)
-            jac_t = model.jac_param(x, theta, times)
-            gx = -np.einsum("cm,mcd->md", b, jac_x)
-            gx += np.matmul(mmat_T, b[:, :, None])[:, :, 0].T
-            for j, c in enumerate(observed):
-                gx[obs_rows[j], c] += diffs[j] / sig2[j]
+            x_bar, theta_bar = model.vjp(xt.T, theta, times, b.T)
+            gb = np.empty((d, 2 * m_sz))  # [g; b] per component
+            np.negative(x_bar.T, out=gb[:, :m_sz])
+            gb[:, m_sz:] = b
+            gb.ravel()[obs_flat_stacked] += w
 
             grad = np.empty_like(flat)
             grad_q, grad_theta, grad_sigma = _blocks(grad, *sizes)
-            grad_q[...] = (np.matmul(Lmat.transpose(0, 2, 1), gx.T[:, :, None])[:, :, 0] - q).T
-            grad_theta[...] = -np.einsum("cm,mcp->p", b, jac_t)
-            grad_sigma[...] = sse / sig2 - np.asarray(obs_counts, dtype=float)
-            if not np.all(np.isfinite(grad)):
+            grad_q[...] = (np.matmul(LA_T, gb[:, :, None])[:, :, 0] - q).T
+            grad_theta[...] = -theta_bar
+            grad_sigma[...] = np.bincount(obs_comp, dw, n_sigma) - obs_counts
+            if not np.isfinite(grad).all():
                 return -np.inf, np.zeros_like(flat)
             return value, grad
 
@@ -284,9 +300,13 @@ def make_logdensity_whitened(problem: MagiProblem):
 
 
 def gp_gradient_estimate(problem: MagiProblem, x: np.ndarray) -> np.ndarray:
-    """Conditional-mean GP derivative m (x - mu) per component, (M, D)."""
-    xc = (x - problem.mu).T
-    return np.matmul(problem.mmat, xc[:, :, None])[:, :, 0].T
+    """Conditional-mean GP derivative m (x - mu) = A L^{-1} (x - mu) per component, (M, D)."""
+    m_sz = problem.sizes[0]
+    out = np.empty_like(x, dtype=float)
+    for c in range(problem.model.state_dim):
+        q = solve_triangular(problem.L[c], x[:, c] - problem.mu[c], lower=True)
+        out[:, c] = problem.LA[c, m_sz:] @ q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +481,11 @@ def init_missing_components(
         fvals = model.rhs(x, theta, times)
         resid = xdot - fvals
         obj = float((resid * resid).sum())
-        g_theta_raw = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
+        x_bar, theta_bar = model.vjp(x, theta, times, resid)
+        g_theta_raw = -2.0 * theta_bar
         g_u[...] = np.where(pos, g_theta_raw * theta, g_theta_raw)
-        jac_x = model.jac_state(x, theta, times)
         g = 2.0 * (d1.T @ resid[:, missing])
-        g -= 2.0 * np.einsum("mc,mcd->md", resid, jac_x)[:, missing]
+        g -= 2.0 * x_bar[:, missing]
         curv = d2 @ free_block
         obj += INIT_CURVATURE_WEIGHT * float(np.sum(curv * curv))
         g += 2.0 * INIT_CURVATURE_WEIGHT * (d2.T @ curv)

@@ -247,19 +247,16 @@ class PinnLoss:
         if grad is None:
             return total, physics, data_term
 
-        jac_x = model.jac_state(n_out, theta, times)
-        jac_t = model.jac_param(n_out, theta, times)
+        x_bar, theta_bar = model.vjp(n_out, theta, times, resid)
         seed = sweep.adjs[-1]
         abar, vbar = seed[:m], seed[m:]
-        np.matmul(resid[:, None, :], jac_x, out=abar[:, None, :])
-        abar *= 2.0 / m
+        np.multiply(x_bar, 2.0 / m, out=abar)
         data_resid *= 2.0 * lam / n_obs  # its zeros stay zero
         abar += data_resid
         np.multiply(resid, -2.0 / m, out=vbar)
         grads_w, grads_b, grad_theta = _views(grad, net.widths)
         _backward_dual(net, sweep, grads_w, grads_b)
-        np.matmul(resid.ravel(), jac_t.reshape(resid.size, -1), out=grad_theta)
-        grad_theta *= 2.0 / m
+        np.multiply(theta_bar, 2.0 / m, out=grad_theta)
         return total, physics, data_term
 
 

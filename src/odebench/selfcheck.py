@@ -58,13 +58,15 @@ def _check_dynamics_jacobians() -> tuple[bool, str]:
             else:
                 x = rng.uniform(-10.0, 10.0, size=3)
                 theta = np.array([rng.uniform(1, 4), rng.uniform(10, 30), rng.uniform(5, 15)])
-            jx = model.jac_state(x, theta, 0.0)
             jt = model.jac_param(x, theta, 0.0)
-            for c in range(3):
+            for c, e_c in enumerate(np.eye(3)):
+                # The unit cotangent e_c picks row c of both Jacobians.
+                x_bar, theta_bar = model.vjp(x, theta, 0.0, e_c)
                 fd_x = central_difference_gradient(lambda v: model.rhs(v, theta, 0.0)[c], x)
                 fd_t = central_difference_gradient(lambda v: model.rhs(x, v, 0.0)[c], theta)
-                worst = max(worst, relative_agreement(jx[c], fd_x, floor=1e-5),
-                            relative_agreement(jt[c], fd_t, floor=1e-5))
+                worst = max(worst, relative_agreement(x_bar, fd_x, floor=1e-5),
+                            relative_agreement(jt[c], fd_t, floor=1e-5),
+                            relative_agreement(theta_bar, jt[c], floor=1e-5))
     return worst < 1e-5, f"max rel err {worst:.2e}"
 
 

@@ -586,6 +586,11 @@ def test_run_study_runs_replicates_on_one_blas_thread(tmp_path, monkeypatch, job
         assert [run["os_threads"] for run in runs] == [1, 1]
 
 
+def test_openblas_controls_are_found_once_per_process():
+    """The search of the loaded libraries runs once; run_study reuses its result."""
+    assert E._openblas_thread_controls() is E._openblas_thread_controls()
+
+
 def test_run_study_restores_the_callers_blas_threads(monkeypatch):
     controls = E._openblas_thread_controls()
     saved = [get() for get, _ in controls]
@@ -649,10 +654,10 @@ def test_run_study_pool_has_no_more_workers_than_jobs(monkeypatch):
 
 PINNED = {
     "magi": ({"n_warmup": 20, "n_samples": 20, "init_budget": 300}, False, {
-        "abs_error_theta": {"beta": 0.17022995239582595, "gamma": 0.012358558271318876,
-                            "sigma": 0.12857109982562154},
-        "mech_fidelity": {"logE": 0.01659411028447843, "logI": 0.0018121997448910564,
-                          "logR": 0.00800762130140778},
+        "abs_error_theta": {"beta": 0.1711258771002231, "gamma": 0.012678286153183754,
+                            "sigma": 0.1289536390678424},
+        "mech_fidelity": {"logE": 0.016598078787832912, "logI": 0.0018175640678046142,
+                          "logR": 0.008115783818199296},
     }),
     "pinn": ({"lam": 10.0, "epochs": 60}, True, {
         "abs_error_theta": {"beta": 0.915844432112032, "gamma": 0.470675380617737,

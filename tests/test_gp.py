@@ -160,6 +160,17 @@ def test_quad_form_matches_explicit_inverse():
         assert rel_err(float(v @ cho_solve((bundle.chol_C, True), v)), direct_c) < 1e-8
 
 
+def test_whitened_predictor_times_chol_k_is_dk():
+    """A = dK L^{-T}, so A L^T = dK and A A^T = dK K^{-1} Kd."""
+    hyper, grid = MaternHyper(1.3, 0.5), np.linspace(0.0, 3.0, 31)
+    K, dK, Kd, _ = kernel_matrices(hyper, grid)
+    bundle = build_kernel_mats(hyper, grid)
+    scale = np.abs(dK).max()
+    assert np.abs(bundle.mL @ bundle.chol_K.T - dK).max() < 1e-10 * scale
+    dense = dK @ cho_solve(cho_factor(K, lower=True), Kd)
+    assert np.abs(bundle.mL @ bundle.mL.T - dense).max() < 1e-8 * np.abs(dense).max()
+
+
 def test_conditional_covariance_nonnegative_spectrum():
     for amp, ell in [(0.5, 0.3), (2.0, 1.5), (4.0, 14.0), (1.0, 5.0)]:
         C = conditional_covariance(*kernel_matrices(MaternHyper(amp, ell), np.linspace(0, 6, 81)))
@@ -169,7 +180,7 @@ def test_conditional_covariance_nonnegative_spectrum():
 def test_full_lorenz_grid_construction():
     hyper, grid = MaternHyper(amplitude=8.0, lengthscale=1.2), magi.uniform_grid(0.0, 8.0, 321)
     assert conditional_covariance(*kernel_matrices(hyper, grid)).shape == (321, 321)
-    assert np.isfinite(build_kernel_mats(hyper, grid).m).all()
+    assert np.isfinite(build_kernel_mats(hyper, grid).mL).all()
 
 
 def test_gp_smooth_fit_noiseless_sine():

@@ -55,29 +55,49 @@ def test_sampler_target_matches_numpy_reference(seir_small, lorenz_small):
         assert np.array_equal(g, g_ref)
 
 
-def test_whitened_value_equals_plain_value(seir_small):
-    """The whitened target against the value built term by term in x coordinates."""
-    problem = seir_small["problem"]
-    model, grid, obs = problem.model, problem.grid, problem.observations
-    x, theta, log_sigma = _state_for(problem, seed=3)
+def _dense_operators(fits, times):
+    """Per component (mean, chol_K, m = dK K^{-1}, chol_C), m formed densely from
+    the kernel matrices, so nothing here reads the problem's stacked arrays."""
+    ops = []
+    for c in sorted(fits):
+        hyper = fits[c].hyper
+        dK = gp.kernel_matrices(hyper, times)[1]
+        km = gp.build_kernel_mats(hyper, times)
+        ops.append((hyper.mean, km.chol_K, cho_solve((km.chol_K, True), dK.T).T, km.chol_C))
+    return ops
 
-    fvals = model.rhs(x, theta, grid.times)
+
+def _prior_and_mech_terms(ops, model, x, theta, times):
+    """The GP prior and gradient-matching quadratic forms in x coordinates."""
+    fvals = model.rhs(x, theta, times)
     gp_term = mech_term = 0.0
-    for c, fit in seir_small["fits"].items():
-        km = gp.build_kernel_mats(fit.hyper, grid.times)
-        xc = x[:, c] - fit.hyper.mean
-        gp_term += float(xc @ cho_solve((km.chol_K, True), xc))
-        resid = fvals[:, c] - km.m @ xc
-        mech_term += float(resid @ cho_solve((km.chol_C, True), resid))
+    for c, (mean, chol_K, m, chol_C) in enumerate(ops):
+        xc = x[:, c] - mean
+        gp_term += float(xc @ cho_solve((chol_K, True), xc))
+        resid = fvals[:, c] - m @ xc
+        mech_term += float(resid @ cho_solve((chol_C, True), resid))  # C^{-1} r from chol_C
+    return gp_term, mech_term
 
+
+def _obs_part(problem, x, log_sigma):
+    """The data misfit and sigma normalization part of the log posterior."""
+    grid, obs = problem.grid, problem.observations
     obs_term = norm_term = 0.0
     for j, c in enumerate(problem.observed):
         t_c, y_c = obs.component_values(c)
         diff = y_c - x[np.searchsorted(grid.times, t_c), c]
         obs_term += float(diff @ diff) / math.exp(2.0 * log_sigma[j])
         norm_term += t_c.size * log_sigma[j]
+    return -0.5 * obs_term - norm_term
 
-    expected = -0.5 * (gp_term + obs_term + mech_term) - norm_term
+
+def test_whitened_value_equals_plain_value(seir_small):
+    """The whitened target against the value built term by term in x coordinates."""
+    problem = seir_small["problem"]
+    x, theta, log_sigma = _state_for(problem, seed=3)
+    ops = _dense_operators(seir_small["fits"], problem.grid.times)
+    gp_term, mech_term = _prior_and_mech_terms(ops, problem.model, x, theta, problem.grid.times)
+    expected = -0.5 * (gp_term + mech_term) + _obs_part(problem, x, log_sigma)
     assert rel_err(_log_post(problem, x, theta, log_sigma), expected) < 1e-10
 
 
@@ -86,14 +106,15 @@ def test_doubling_sigma_identity(seir_small):
     x, theta, log_sigma = _state_for(problem, seed=4)
     v1 = _log_post(problem, x, theta, log_sigma)
 
-    c = 1  # second observed component
-    rows = problem.obs_rows[c]
-    sse = float(np.sum((problem.obs_vals[c] - x[rows, problem.observed[c]]) ** 2))
-    n_c = problem.obs_counts[c]
-    sigma = math.exp(log_sigma[c])
+    j = 1  # second observed component
+    c = problem.observed[j]
+    t_c, y_c = problem.observations.component_values(c)
+    sse = float(np.sum((y_c - x[np.searchsorted(problem.grid.times, t_c), c]) ** 2))
+    n_c = t_c.size
+    sigma = math.exp(log_sigma[j])
 
     doubled = log_sigma.copy()
-    doubled[c] += math.log(2.0)
+    doubled[j] += math.log(2.0)
     v2 = _log_post(problem, x, theta, doubled)
     expected = 0.5 * (1.0 - 0.25) * sse / sigma**2 - n_c * math.log(2.0)
     assert rel_err(v2 - v1, expected) < 1e-9
@@ -133,13 +154,13 @@ def _reachable(obj):
     return list(seen.values())
 
 
-def test_problem_keeps_only_the_four_stacked_kernel_arrays(seir_small, monkeypatch):
-    """A problem retains mu, L, m, m^T and C^{-1}; each kernel bundle is garbage once stacked."""
+def test_problem_keeps_only_the_three_stacked_kernel_arrays(seir_small, monkeypatch):
+    """A problem retains mu, the [L; A] stack and C^{-1}; each kernel bundle is garbage once stacked."""
     predictors = []
 
     def recording(hyper, grid):
         km = gp.build_kernel_mats(hyper, grid)
-        predictors.append(weakref.ref(km.m))
+        predictors.append(weakref.ref(km.mL))
         return km
 
     monkeypatch.setattr(magi, "build_kernel_mats", recording)
@@ -149,7 +170,7 @@ def test_problem_keeps_only_the_four_stacked_kernel_arrays(seir_small, monkeypat
     m, d = problem.sizes[:2]
     reachable = _reachable(problem)
     values = sum(a.nbytes for a in reachable if isinstance(a, np.ndarray)) // 8
-    assert 4 * d * m * m <= values <= 4 * d * m * m + 4 * d * m
+    assert 3 * d * m * m <= values <= 3 * d * m * m + 4 * d * m
     assert not any(isinstance(o, gp.GpKernelMats) for o in reachable)
     assert len(predictors) == d and all(ref() is None for ref in predictors)
 
@@ -176,18 +197,17 @@ def test_mech_term_ignores_missingness_mask(seir_small):
     problem_full = seir_small["problem"]
     problem_masked = magi.make_problem(model, grid, obs_masked, fits)
 
-    x, theta, _ = _state_for(problem_full, seed=6)
+    x, theta, log_sigma = _state_for(problem_full, seed=6)
 
-    def terms(problem, x, theta):
-        xc = (x - problem.mu).T
-        fvals = model.rhs(x, theta, grid.times)
-        gdot = np.matmul(problem.mmat, xc[:, :, None])[:, :, 0]
-        resid = fvals.T - gdot
-        b = np.matmul(problem.Cinv, resid[:, :, None])[:, :, 0]
-        return float(np.sum(resid * b))
+    def prior_and_mech(problem, log_sigma):
+        """-(gp_term + mech_term) / 2 of the target: its value without the data part."""
+        return _log_post(problem, x, theta, log_sigma) - _obs_part(problem, x, log_sigma)
 
-    assert terms(problem_full, x, theta) == pytest.approx(
-        terms(problem_masked, x, theta), rel=1e-12)
+    ops = _dense_operators(fits, grid.times)
+    expected = -0.5 * sum(_prior_and_mech_terms(ops, model, x, theta, grid.times))
+    full = prior_and_mech(problem_full, log_sigma)
+    assert full == pytest.approx(prior_and_mech(problem_masked, log_sigma[1:]), rel=1e-12)
+    assert full == pytest.approx(expected, rel=1e-10)
 
 
 def test_huge_sigma_leaves_mech_term_in_charge(seir_small):
@@ -205,20 +225,12 @@ def test_huge_sigma_leaves_mech_term_in_charge(seir_small):
     with_data = [value_at(b, magi.LOG_SIGMA_HI) for b in betas]
 
     # Mechanistic + GP objective only (no observation terms).
-    chol_Ks = [(gp.build_kernel_mats(fit.hyper, problem.grid.times).chol_K, True)
-               for fit in seir_small["fits"].values()]
+    ops = _dense_operators(seir_small["fits"], problem.grid.times)
 
     def mech_only(beta):
         th = theta.copy()
         th[0] = beta
-        xc = (x - problem.mu).T
-        gp_term = sum(float(xc[c] @ cho_solve(chol_K, xc[c]))
-                      for c, chol_K in enumerate(chol_Ks))
-        fvals = problem.model.rhs(x, th, problem.grid.times)
-        gdot = np.matmul(problem.mmat, xc[:, :, None])[:, :, 0]
-        resid = fvals.T - gdot
-        b = np.matmul(problem.Cinv, resid[:, :, None])[:, :, 0]
-        return -0.5 * (gp_term + np.sum(resid * b))
+        return -0.5 * sum(_prior_and_mech_terms(ops, problem.model, x, th, problem.grid.times))
 
     without_data = [mech_only(b) for b in betas]
     assert np.argmax(with_data) == np.argmax(without_data)
@@ -341,7 +353,7 @@ def test_init_fully_observed_nan_rhs_falls_back():
         component_names=("x",),
         param_names=("theta",),
         rhs=lambda x, th, t: np.full(np.shape(x), np.nan),
-        jac_state=lambda x, th, t: np.full(np.shape(x)[:-1] + (1, 1), np.nan),
+        vjp=lambda x, th, t, w: (np.full(np.shape(x), np.nan), np.full(1, np.nan)),
         jac_param=lambda x, th, t: np.full(np.shape(x) + (1,), np.nan),
         positive_params=(True,),
         theta_box=((1e-6, 100.0),),
@@ -392,7 +404,7 @@ def test_linear_ode_posterior_recovery():
         component_names=("x",),
         param_names=("theta",),
         rhs=lambda x, th, t: -th[0] * x,
-        jac_state=lambda x, th, t: np.full(np.shape(x)[:-1] + (1, 1), -th[0]),
+        vjp=lambda x, th, t, w: (-th[0] * w, np.array([-np.sum(w * x)])),
         jac_param=lambda x, th, t: -np.asarray(x)[..., None],
         positive_params=(True,),
         theta_box=((1e-6, 100.0),),
