@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .dynamics import OdeModel
 from .magi import DiscretizationGrid
@@ -58,8 +59,12 @@ class MlpNet:
     def time_scale(self) -> float:
         return 2.0 / (self.t_hi - self.t_lo)
 
-    def normalize(self, t: np.ndarray) -> np.ndarray:
-        return 2.0 * (t - self.t_lo) / (self.t_hi - self.t_lo) - 1.0
+    def normalize(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """2 (t - t_lo) / (t_hi - t_lo) - 1, evaluated in place in out."""
+        np.subtract(t, self.t_lo, out=out)
+        np.multiply(2.0, out, out=out)
+        np.divide(out, self.t_hi - self.t_lo, out=out)
+        return np.subtract(out, 1.0, out=out)
 
     def to_json(self, path) -> None:
         payload = {
@@ -101,17 +106,27 @@ class _Sweep:
 
     Layer l's values and time derivatives share one contiguous (2m, width)
     array ``xs[l]``: rows :m hold the values, rows m: the derivatives, so
-    one GEMM carries both through a layer in each direction.  The forward
-    sweep writes xs and each hidden layer's tanh derivative phi = 1 - a^2
-    into ``phis``, multiplying against ``wts``, contiguous copies of the
-    transposed weights that it refreshes every call: OpenBLAS multiplies a
-    contiguous right operand about twice as fast as a transposed view.  The
-    reverse sweep starts from the output layer's (2m, D) adjoint seed
-    ``adjs[-1]`` and carries it down through ``adjs``, one (2m, width)
-    array per hidden layer, with one (m, width) ``scratch`` array per
-    hidden layer; ``ones`` sums the value-half adjoint rows into the bias
-    gradients.  ``data_resid`` holds the loss's data residual; its
-    unobserved entries stay zero.
+    one GEMM carries both through a layer in each direction.  The input
+    ``xs[0]`` is a column-major (2m, 2) block [[s, 1]; [time_scale, 0]] of
+    the normalised times s: against the (2, width) right operand [w0^T; b0]
+    in ``wts[0]`` one GEMM gives the first layer's pre-activations with
+    their bias and their time derivatives, and the weight gradient reads
+    the block's contiguous first column.  The forward sweep writes xs and
+    each hidden layer's tanh derivative phi = 1 - a^2 into ``phis``,
+    multiplying against ``wts``, contiguous copies of the transposed
+    weights that it refreshes every call: OpenBLAS multiplies a contiguous
+    right operand about twice as fast as a transposed view.  The later
+    layers add their bias to the value rows in place with BLAS ``dger``
+    (z^T += b ones^T), which neither allocates nor rounds differently from
+    z + b.  The reverse sweep starts from the output layer's (2m, D)
+    adjoint seed ``adjs[-1]`` and carries it down through ``adjs``, one
+    (2m, width) array per hidden layer, with one (m, width) ``scratch``
+    array per hidden layer; ``ones`` sums the value-half adjoint rows into
+    the bias gradients.  The loss writes its physics residual into
+    ``resid``, its data residual into ``data_resid`` (whose unobserved
+    entries stay zero) and their squares into ``squares``.  ``grad_views``
+    holds the ``_views`` of ``grad``, the last flat gradient the loss wrote
+    into; a call with another array remakes them.
 
     Training reuses one sweep every epoch, so an epoch allocates no array
     of this size.  Allocated and freed every epoch, they left enough free
@@ -125,30 +140,40 @@ class _Sweep:
             return [None] + [np.empty((m, n)) for n in widths[1:-1]] + [None]
 
         self.m = m
-        self.xs = [np.empty((2 * m, n)) for n in widths]
-        self.wts = [np.empty((n_in, n_out)) for n_in, n_out in zip(widths[:-1], widths[1:])]
+        self.xs = [np.zeros((2 * m, 2), order="F")] + [np.empty((2 * m, n)) for n in widths[1:]]
+        self.xs[0][:m, 1] = 1.0
+        self.wts = [np.empty((2, widths[1]))] + [
+            np.empty((n_in, n_out)) for n_in, n_out in zip(widths[1:-1], widths[2:])]
         self.phis = per_hidden_layer()
         self.adjs = [None] + [np.empty((2 * m, n)) for n in widths[1:]]
         self.scratch = per_hidden_layer()
         self.ones = np.ones(m)
+        self.resid = np.empty((m, widths[-1]))
         self.data_resid = np.zeros((m, widths[-1]))
+        self.squares = np.empty((m, widths[-1]))
+        self.grad = self.grad_views = None
 
 
 def _dual_forward(net: MlpNet, t: np.ndarray, sweep: _Sweep) -> None:
     """Value and exact time derivative of the network at times t, into sweep.
 
-    The halves of sweep.xs[-1] become N(t) and dN/dt; the hidden layers'
-    xs and phis stay for the reverse sweep.
+    Refreshes the input block's normalised times and time scale and the
+    stacked first-layer operand [w0^T; b0], then runs the first layer as
+    one 2-column GEMM and each later one as a GEMM plus an in-place ``dger``
+    bias add.  The halves of sweep.xs[-1] become N(t) and dN/dt; the hidden
+    layers' xs and phis stay for the reverse sweep.
     """
-    xs, phis, m = sweep.xs, sweep.phis, sweep.m
-    xs[0][:m, 0] = net.normalize(t)
-    xs[0][m:] = net.time_scale
+    xs, wts, phis, m = sweep.xs, sweep.wts, sweep.phis, sweep.m
+    net.normalize(t, out=xs[0][:m, 0])
+    xs[0][m:, 0] = net.time_scale
+    np.copyto(wts[0][1], net.biases[0])  # the loop fills row 0 with w0^T
     n_layers = len(net.weights)
-    for l, (w, b, wt) in enumerate(zip(net.weights, net.biases, sweep.wts)):
-        np.copyto(wt, w.T)
+    for l, (w, b, wt) in enumerate(zip(net.weights, net.biases, wts)):
+        np.copyto(wt[:w.shape[1]], w.T)
         x = np.matmul(xs[l], wt, out=xs[l + 1])
         z, zdot = x[:m], x[m:]
-        z += b
+        if l > 0:
+            dger(1.0, b, sweep.ones, a=z.T, overwrite_a=1)
         if l < n_layers - 1:
             a = np.tanh(z, out=z)
             phi = np.multiply(a, a, out=phis[l + 1])
@@ -170,7 +195,9 @@ def _backward_dual(net: MlpNet, sweep: _Sweep, grads_w, grads_b) -> None:
 
     The seed sweep.adjs[-1] holds the adjoints of N(t) in rows :m and of
     dN/dt in rows m:.  Writes each layer's weight and bias gradients into
-    grads_w and grads_b.
+    grads_w and grads_b: a weight gradient is adj^T times the layer's input
+    (for the first layer, the input block's time column) and a bias
+    gradient is ones times the value rows of adj.
     """
     xs, phis, m = sweep.xs, sweep.phis, sweep.m
     adj = sweep.adjs[-1]
@@ -186,7 +213,7 @@ def _backward_dual(net: MlpNet, sweep: _Sweep, grads_w, grads_b) -> None:
             vbar *= phi
             abar *= phi
             abar += cross
-        np.matmul(adj.T, xs[l], out=grads_w[l])
+        np.matmul(adj.T, xs[l] if l > 0 else xs[0][:, :1], out=grads_w[l])
         np.matmul(sweep.ones, adj[:m], out=grads_b[l])
         if l > 0:
             adj = np.matmul(adj, net.weights[l], out=sweep.adjs[l])
@@ -235,14 +262,14 @@ class PinnLoss:
         _dual_forward(net, times, sweep)
         n_out, v_out = sweep.xs[-1][:m], sweep.xs[-1][m:]
 
-        fvals = model.rhs(n_out, theta, times)
-        resid = fvals - v_out
-        physics = float(np.sum(resid * resid)) / m
+        resid = np.subtract(model.rhs(n_out, theta, times), v_out, out=sweep.resid)
+        physics = float(np.multiply(resid, resid, out=sweep.squares).sum()) / m
 
         # Zero where unobserved, so the sum runs in the same pairwise order
         # whatever the observation pattern.
         data_resid = np.subtract(n_out, self.targets, out=sweep.data_resid, where=self.observed)
-        data_term = (lam / n_obs) * float(np.sum(data_resid * data_resid))
+        data_term = (lam / n_obs) * float(np.multiply(data_resid, data_resid,
+                                                      out=sweep.squares).sum())
         total = physics + data_term
         if grad is None:
             return total, physics, data_term
@@ -254,7 +281,9 @@ class PinnLoss:
         data_resid *= 2.0 * lam / n_obs  # its zeros stay zero
         abar += data_resid
         np.multiply(resid, -2.0 / m, out=vbar)
-        grads_w, grads_b, grad_theta = _views(grad, net.widths)
+        if grad is not sweep.grad:  # train_pinn passes one array every epoch
+            sweep.grad, sweep.grad_views = grad, _views(grad, net.widths)
+        grads_w, grads_b, grad_theta = sweep.grad_views
         _backward_dual(net, sweep, grads_w, grads_b)
         np.multiply(theta_bar, 2.0 / m, out=grad_theta)
         return total, physics, data_term
@@ -331,9 +360,9 @@ def train_pinn(
         for epoch in range(config.epochs):
             theta = np.where(pos, np.exp(u_theta), u_theta)
             total, physics, data_term = loss(net, theta, grad)
-            if epoch % LOG_EVERY == 0 and np.isfinite(total):
+            if epoch % LOG_EVERY == 0 and math.isfinite(total):
                 history.append((epoch, physics, data_term, total))
-            if not (np.isfinite(total) and np.isfinite(grad).all()):
+            if not (math.isfinite(total) and np.isfinite(grad).all()):
                 skipped = config.epochs - epoch
                 break
             np.multiply(g_theta, theta, out=g_theta, where=pos)  # d/du = theta d/dtheta

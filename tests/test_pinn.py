@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from odebench import magi, pinn
+from odebench import experiments, magi, pinn
 from odebench.dynamics import OdeModel, get_model
 from odebench.observations import ObservationSet
 
@@ -181,6 +182,53 @@ def test_one_loss_gives_the_same_values_after_other_parameters():
     assert np.array_equal(grad_second, grad_fresh_b)
 
 
+def test_one_loss_follows_each_nets_time_window():
+    """The loss writes each net's normalised times and time scale into its input block."""
+    model = get_model("seir-log")
+    times = np.linspace(0.0, 2.0, 21)
+    data = _toy_data(model, times[::4], seed=11, missing=(0,))
+    grid = magi.DiscretizationGrid.build(times, data.times)
+    widths = [1, 20, 20, 20, 3]
+    theta = np.array([2.0, 0.2, 0.6])
+    nets = [pinn.init_mlp(widths, t_lo, t_hi, seed=12)
+            for t_lo, t_hi in ((0.0, 2.0), (-1.0, 3.0), (0.5, 1.5), (0.0, 2.0))]
+    n_params = sum(w.size + b.size for w, b in zip(nets[0].weights, nets[0].biases)) + theta.size
+
+    def evaluate(loss, net):
+        grad = np.empty(n_params)
+        return loss(net, theta, grad), grad
+
+    loss = pinn.PinnLoss.build(model, data, grid, 10.0, widths)
+    for net in nets:
+        value, grad = evaluate(loss, net)
+        fresh, grad_fresh = evaluate(pinn.PinnLoss.build(model, data, grid, 10.0, widths), net)
+        assert value == fresh
+        assert np.array_equal(grad, grad_fresh)
+
+
+def test_loss_call_allocates_no_layer_sized_block():
+    """One loss-and-gradient call on the seir-full master grid stays below one (m, width)
+    float64 block of temporaries: its layer arrays all live in the loss's sweep."""
+    regime = experiments.get_regime("seir-full")
+    model = regime.model()
+    data = experiments.simulate_dataset(regime, experiments.dataset_seed(0, regime, 0))
+    grid = magi.DiscretizationGrid.build(regime.master_times(), data.times)
+    widths = [1] + [pinn.HIDDEN_WIDTH] * 3 + [model.state_dim]
+    net = pinn.init_mlp(widths, float(data.times[0]), float(data.times[-1]), seed=0)
+    loss = pinn.PinnLoss.build(model, data, grid, 10.0, widths)
+    theta = np.array([2.0, 0.2, 0.6])
+    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)) + theta.size)
+    loss(net, theta, grad)
+    tracemalloc.start()
+    try:
+        loss(net, theta, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.times.size == 321
+    assert peak < grid.times.size * pinn.HIDDEN_WIDTH * 8
+
+
 def test_train_linear_ode_recovers_theta():
     decay = OdeModel(
         name="decay-1d",
@@ -233,6 +281,24 @@ def test_seeded_training_pinned():
         out.theta_hat, [3.484473059037511, 4.120800719700272, 0.09074901351117996], rtol=1e-12)
     assert out.history[-1, 3] == pytest.approx(3.033183085637171, rel=1e-12)
     assert out.net.weights[-1][0, 0] == pytest.approx(0.06400155725771647, rel=1e-12)
+
+
+def test_seeded_training_pinned_four_hidden_missing_component():
+    # The same kind of pin on four hidden layers, with logE unobserved so
+    # the masked data residual feeds every epoch's gradient.
+    model = get_model("seir-log")
+    times = np.linspace(0.0, 1.0, 11)
+    data = _toy_data(model, times[::2], seed=12, missing=(0,))
+    grid = magi.DiscretizationGrid.build(times, data.times)
+    cfg = pinn.PinnConfig(lam=10.0, epochs=300, n_hidden=4, seed=13)
+    out = pinn.train_pinn(cfg, model, data, grid)
+    assert out.skipped_steps == 0
+    np.testing.assert_allclose(
+        out.theta_hat, [0.41378530545407766, 0.25405140887930855, 0.3606563481090411], rtol=1e-12)
+    assert out.history[-1, 3] == pytest.approx(13.45253689981467, rel=1e-12)
+    assert out.net.weights[-1][0, 0] == pytest.approx(0.44801137628503834, rel=1e-12)
+    assert out.net.weights[0][5, 0] == pytest.approx(0.4187691165146981, rel=1e-12)
+    assert out.net.biases[1][3] == pytest.approx(-0.05324110971410335, rel=1e-12)
 
 
 def test_history_decomposition_identity():
