@@ -18,6 +18,7 @@ from .gp import (
     build_kernel_mats,
     gp_smooth_fit,
     kernel_matrices,
+    lag_table,
     matern_eval,
 )
 from .integrate import IntegrationError, Trajectory, integrate_rk45

@@ -15,11 +15,12 @@ With z = sqrt(2 nu) |s - t| / lengthscale and c = 2^(1-nu) / Gamma(nu):
 with the zero-lag limits k(0) = amp^2, k'(0) = 0 and the gradient variance
 -k''(0) = amp^2 nu / ((nu - 1) l^2).
 
-The Bessel terms K_nu and K_{nu-1} are evaluated once per distinct lag and
-scattered back to the n x n matrices.  In exact arithmetic an evenly spaced
-grid of n points has n distinct lags among its n^2.  In floating point,
-differences of grid points differ in their last bits, so there are more:
-57 of 441 at 21 points and 512 of 25,921 at 161, against 21 and 161.
+The Bessel terms K_nu and K_{nu-1} are evaluated once per distinct lag of a
+grid's lag_table and scattered back to the n x n matrices; every covariance
+is factored by one LAPACK potrf path, _cholesky.  In exact arithmetic an
+evenly spaced grid of n points has n distinct lags among its n^2.  In
+floating point, differences of grid points differ in their last bits, so
+there are more: 57 of 441 at 21 points and 512 of 25,921 at 161.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import Bounds, minimize
 from scipy.special import gammaln, kv
 
@@ -42,6 +42,7 @@ __all__ = [
     "GpFitError",
     "ConditioningError",
     "matern_eval",
+    "lag_table",
     "kernel_matrices",
     "build_kernel_mats",
     "gp_smooth_fit",
@@ -61,7 +62,7 @@ class GpFitError(RuntimeError):
 
 
 class ConditioningError(RuntimeError):
-    """A kernel matrix failed Cholesky factorization after jitter retries."""
+    """A covariance failed Cholesky factorization at every diagonal jitter tried."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def _matern_value_terms(amp2: float, ell: float, r: np.ndarray):
 def _matern_lag_terms(hyper: MaternHyper, r: np.ndarray):
     """Return (k, k', k'', dk/dlog lengthscale) of the lags r >= 0, elementwise.
 
-    Callers pass each distinct lag once (see _distinct_lags) and scatter the
+    Callers pass each distinct lag once (see lag_table) and scatter the
     results back, so each Bessel order is evaluated once per distinct lag.
     """
     nu = MATERN_NU
@@ -127,15 +128,18 @@ def _matern_lag_terms(hyper: MaternHyper, r: np.ndarray):
     return k0, k1, k2, dlogell
 
 
-def _distinct_lags(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a lag matrix into its distinct lags and the index map back.
+def lag_table(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lags, inverse, sign) of the n x n differences u = s - t of strictly increasing times.
 
-    terms[inverse] rebuilds r's shape from a per-lag vector.  Lags are
-    compared exactly: an evenly spaced grid of n points has n distinct lags
-    in exact arithmetic, and a few times n after rounding (57 at 21 points).
+    lags holds the distinct |u|, compared exactly, and terms[inverse]
+    rebuilds the n x n matrix from a per-lag vector; sign is sign(u).
     """
-    lags, inverse = np.unique(r, return_inverse=True)
-    return lags, inverse.reshape(r.shape)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValueError("grid must be strictly increasing with length >= 2")
+    u = times[:, None] - times[None, :]
+    lags, inverse = np.unique(np.abs(u), return_inverse=True)
+    return lags, inverse.reshape(u.shape), np.sign(u)
 
 
 def matern_eval(hyper: MaternHyper, s: float, t: float, order: tuple[int, int] = (0, 0)) -> float:
@@ -174,14 +178,15 @@ class GpKernelMats(NamedTuple):
     chol_C: np.ndarray
 
 
-def _chol_with_retries(mat: np.ndarray, base_jitter: float, label: str):
-    """Cholesky of mat, retried with base_jitter x (1, 2, 4, 8) added to its diagonal."""
-    for jitter in (0.0, base_jitter, 2.0 * base_jitter, 4.0 * base_jitter, 8.0 * base_jitter):
-        try:
-            return cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            pass
-    raise ConditioningError(f"Cholesky factorization of {label} failed after jitter retries")
+def _cholesky(mat: np.ndarray, jitters: tuple[float, ...], label: str) -> np.ndarray:
+    """Lower Cholesky factor of mat + jitter I, upper triangle zeroed, at the first jitter
+    potrf accepts; mat itself is factored at a zero jitter."""
+    for jitter in jitters:
+        chol, info = dpotrf(mat + jitter * np.eye(mat.shape[0]) if jitter else mat,
+                            lower=1, clean=1)
+        if info == 0:
+            return chol
+    raise ConditioningError(f"Cholesky factorization of {label} failed at jitters {jitters}")
 
 
 def kernel_matrices(hyper: MaternHyper,
@@ -190,34 +195,28 @@ def kernel_matrices(hyper: MaternHyper,
 
     No jitter is applied to any of them.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with length >= 2")
-
-    u = grid[:, None] - grid[None, :]
-    lags, inverse = _distinct_lags(np.abs(u))
+    lags, inverse, sign = lag_table(grid)
     k0, k1, k2, _ = _matern_lag_terms(hyper, lags)
     k1 = k1[inverse]
-    sgn = np.sign(u)
-    return k0[inverse], k1 * sgn, -k1 * sgn, -k2[inverse]
+    return k0[inverse], k1 * sign, -k1 * sign, -k2[inverse]
 
 
-def build_kernel_mats(hyper: MaternHyper, grid: np.ndarray) -> GpKernelMats:
+def build_kernel_mats(hyper: MaternHyper, table: tuple) -> GpKernelMats:
     """Factor K, form A = dK L^{-T} by one triangular solve, and factor C = ddK + jI - A A^T.
 
-    The kernel matrices themselves are not kept.
+    table is the grid's lag_table.  K is retried with K_JITTER_BASE amplitude^2
+    x (1, 2, 4, 8) on its diagonal, C with none.  The kernel matrices are not kept.
     """
-    K, dK, _, ddK = kernel_matrices(hyper, grid)
-    chol_K = np.tril(_chol_with_retries(K, K_JITTER_BASE * hyper.amplitude ** 2, "K")[0])
-    mL = solve_triangular(chol_K, dK.T, lower=True).T  # L^{-1} Kd = A^T, since Kd = dK^T
+    lags, inverse, sign = table
+    k0, k1, k2, _ = _matern_lag_terms(hyper, lags)
+    K, dK, ddK = k0[inverse], k1[inverse] * sign, -k2[inverse]
+    base = K_JITTER_BASE * hyper.amplitude ** 2
+    chol_K = _cholesky(K, (0.0, base, 2.0 * base, 4.0 * base, 8.0 * base), "K")
+    mL = dtrtrs(chol_K, dK.T, lower=1)[0].T  # L^{-1} Kd = A^T, since Kd = dK^T
     ddK.flat[:: ddK.shape[0] + 1] += DDK_JITTER
     C = mL @ mL.T  # exactly symmetric: numpy runs a product with its own transpose as syrk
     np.subtract(ddK, C, out=C)
-    try:
-        chol_C = cho_factor(C, lower=True)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("Cholesky factorization of C failed") from None
-    return GpKernelMats(mean=hyper.mean, chol_K=chol_K, mL=mL, chol_C=np.tril(chol_C[0]))
+    return GpKernelMats(mean=hyper.mean, chol_K=chol_K, mL=mL, chol_C=_cholesky(C, (0.0,), "C"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +297,7 @@ class _FitData:
     @classmethod
     def build(cls, t: np.ndarray, y: np.ndarray, half_period: float | None) -> "_FitData":
         n = t.size
-        lags, inverse = _distinct_lags(np.abs(t[:, None] - t[None, :]))
+        lags, inverse, _ = lag_table(t)
         return cls(y=y, lags=lags, inverse=inverse, eye=np.eye(n),
                    norm_term=0.5 * n * math.log(2.0 * math.pi), half_period=half_period)
 
@@ -307,19 +306,15 @@ def _fit_objective(p: np.ndarray, data: _FitData) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood (plus the Fourier penalty) and its gradient.
 
     p = (log amplitude, log lengthscale, mean, log noise_sd).  K + noise^2 I
-    is factored by LAPACK potrf; if that fails, a 1e-10 amplitude^2 diagonal
-    jitter is added once and the factorization retried.
+    is factored by _cholesky, retried once with a 1e-10 amplitude^2 diagonal
+    jitter; ConditioningError if both attempts fail.
     """
     amp, ell, mu, nsd = math.exp(p[0]), math.exp(p[1]), p[2], math.exp(p[3])
     eye = data.eye
     k0, dlogell, _ = _matern_value_terms(amp ** 2, ell, data.lags)
     K = k0[data.inverse]
     Ky = K + (nsd * nsd) * eye
-    chol, info = dpotrf(Ky, lower=1, clean=0)
-    if info != 0:
-        chol, info = dpotrf(Ky + (1e-10 * amp * amp) * eye, lower=1, clean=0)
-        if info != 0:
-            raise np.linalg.LinAlgError("marginal-likelihood covariance is not positive definite")
+    chol = _cholesky(Ky, (0.0, 1e-10 * amp * amp), "K + noise^2 I")
     resid = data.y - mu
     alpha = dpotrs(chol, resid, lower=1)[0]
     logdet = 2.0 * np.log(chol.diagonal()).sum()

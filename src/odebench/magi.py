@@ -32,11 +32,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import least_squares, minimize_scalar
 
 from .dynamics import OdeModel
-from .gp import GpFit, GpKernelMats, build_kernel_mats, gp_smooth_fit
+from .gp import GpFit, GpKernelMats, build_kernel_mats, gp_smooth_fit, lag_table
 from .integrate import IntegrationError, integrate_rk45
 from .observations import ObservationSet
 from .optim import Adam
@@ -154,7 +154,7 @@ class MagiProblem:
         for c, km in enumerate(kernels):
             self.LA[c, :m_sz] = km.chol_K
             self.LA[c, m_sz:] = km.mL
-            self.Cinv[c] = cho_solve((km.chol_C, True), eye)
+            self.Cinv[c] = lapack.dpotrs(km.chol_C, eye, lower=1)[0]
 
         flat, vals, counts = [], [], []
         for c in self.observed:
@@ -206,13 +206,14 @@ def make_problem(
     observations: ObservationSet,
     fits: dict[int, GpFit],
 ) -> MagiProblem:
-    """Assemble kernel bundles from per-component hyperparameter fits.  Each observed
-    component's log sigma starts at its fit's noise sd, clamped inside the box."""
+    """Assemble kernel bundles from per-component fits on one lag table of the grid.  Each
+    observed component's log sigma starts at its fit's noise sd, clamped inside the box."""
+    table = lag_table(grid.times)
     kernels = []
     for c in range(model.state_dim):
         if c not in fits:
             raise ValueError(f"missing hyperparameter fit for component {c}")
-        kernels.append(build_kernel_mats(fits[c].hyper, grid.times))
+        kernels.append(build_kernel_mats(fits[c].hyper, table))
     log_sigma_init = np.array([math.log(min(max(fits[c].noise_sd, 2e-6), 5e2))
                                for c in observations.observed_components()])
     return MagiProblem(model, grid, observations, kernels, log_sigma_init)
@@ -386,14 +387,14 @@ def _diff_matrices(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.diff(times)
     d1[0, 0], d1[0, 1] = -1.0 / h[0], 1.0 / h[0]
     d1[-1, -2], d1[-1, -1] = -1.0 / h[-1], 1.0 / h[-1]
-    for i in range(1, m - 1):
-        span = times[i + 1] - times[i - 1]
-        d1[i, i - 1], d1[i, i + 1] = -1.0 / span, 1.0 / span
-        hm, hp = h[i - 1], h[i]
-        denom = 0.5 * hm * hp * (hm + hp)
-        d2[i, i - 1] = hp / denom
-        d2[i, i] = -(hm + hp) / denom
-        d2[i, i + 1] = hm / denom
+    i = np.arange(1, m - 1)
+    span = times[2:] - times[:-2]
+    d1[i, i - 1], d1[i, i + 1] = -1.0 / span, 1.0 / span
+    hm, hp = h[:-1], h[1:]
+    denom = 0.5 * hm * hp * (hm + hp)
+    d2[i, i - 1] = hp / denom
+    d2[i, i] = -(hm + hp) / denom
+    d2[i, i + 1] = hm / denom
     if m > 2:
         d2[0] = d2[1]
         d2[-1] = d2[-2]

@@ -25,18 +25,23 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(like, dtype=float)
         self.v = np.zeros_like(like, dtype=float)
+        self._upd = np.empty_like(self.m)  # scratch, so a step allocates no parameter-sized array
+        self._den = np.empty_like(self.m)
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
-        m, v = self.m, self.v
+        m, v, upd, den = self.m, self.v, self._upd, self._den
         m *= BETA1
-        m += (1 - BETA1) * g
+        np.multiply(1 - BETA1, g, out=upd)
+        m += upd
         v *= BETA2
-        v += (1 - BETA2) * g * g
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), one temporary per moment.
-        upd = m / (1.0 - BETA1 ** self.t)
+        np.multiply(1 - BETA2, g, out=upd)
+        upd *= g
+        v += upd
+        # p -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - BETA1 ** self.t, out=upd)
         upd *= self.lr
-        den = v / (1.0 - BETA2 ** self.t)
+        np.divide(v, 1.0 - BETA2 ** self.t, out=den)
         np.sqrt(den, out=den)
         den += EPS
         upd /= den

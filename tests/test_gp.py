@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from odebench import experiments, magi
+from odebench.dynamics import get_model
 from odebench.gp import (
     DDK_JITTER,
+    K_JITTER_BASE,
     MATERN_NU,
+    GpFit,
     MaternHyper,
-    _distinct_lags,
     _fit_bounds,
     _fit_objective,
     _FitData,
@@ -18,8 +20,10 @@ from odebench.gp import (
     dominant_half_period,
     gp_smooth_fit,
     kernel_matrices,
+    lag_table,
     matern_eval,
 )
+from odebench.observations import ObservationSet
 from odebench.selfcheck import (
     central_difference_gradient,
     fd_kernel_matrices,
@@ -71,7 +75,7 @@ def test_matern_dlogell_vs_fd():
     # Zero lags on the diagonal and repeated lags from the equal spacing.
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.3, 2.0])
     r = np.abs(grid[:, None] - grid[None, :])
-    lags, inverse = _distinct_lags(r)
+    lags, inverse, _ = lag_table(grid)
     assert lags[0] == 0.0 and lags.size < r.size
     amp, ell = 1.3, 0.6
     dlogell = _matern_lag_terms(MaternHyper(amp, ell), lags)[3][inverse]
@@ -142,7 +146,7 @@ def test_quad_form_identity_on_kernel_column():
     K = kernel_matrices(hyper, grid)[0]
     v = K[:, 0]
     # K^{-1} K e0 = e0, so the quadratic form collapses to K[0,0].
-    chol_K = (build_kernel_mats(hyper, grid).chol_K, True)
+    chol_K = (build_kernel_mats(hyper, lag_table(grid)).chol_K, True)
     assert float(v @ cho_solve(chol_K, v)) == pytest.approx(K[0, 0], rel=1e-6)
 
 
@@ -151,7 +155,7 @@ def test_quad_form_matches_explicit_inverse():
     hyper, grid = MaternHyper(0.9, 0.4), np.linspace(0.0, 1.0, 5)
     mats = kernel_matrices(hyper, grid)
     K, C = mats[0], conditional_covariance(*mats)
-    bundle = build_kernel_mats(hyper, grid)
+    bundle = build_kernel_mats(hyper, lag_table(grid))
     for _ in range(5):
         v = rng.standard_normal(5)
         direct = v @ np.linalg.inv(K) @ v
@@ -164,11 +168,61 @@ def test_whitened_predictor_times_chol_k_is_dk():
     """A = dK L^{-T}, so A L^T = dK and A A^T = dK K^{-1} Kd."""
     hyper, grid = MaternHyper(1.3, 0.5), np.linspace(0.0, 3.0, 31)
     K, dK, Kd, _ = kernel_matrices(hyper, grid)
-    bundle = build_kernel_mats(hyper, grid)
+    bundle = build_kernel_mats(hyper, lag_table(grid))
     scale = np.abs(dK).max()
     assert np.abs(bundle.mL @ bundle.chol_K.T - dK).max() < 1e-10 * scale
     dense = dK @ cho_solve(cho_factor(K, lower=True), Kd)
     assert np.abs(bundle.mL @ bundle.mL.T - dense).max() < 1e-8 * np.abs(dense).max()
+
+
+def _scipy_kernel_mats(hyper, grid):
+    """(K jitter, chol_K, A, chol_C, C^{-1}) by the scipy idiom: cho_factor + np.tril,
+    solve_triangular and cho_solve, with build_kernel_mats' jitter ladder on K."""
+    K, dK, _, ddK = kernel_matrices(hyper, grid)
+    eye = np.eye(grid.size)
+    base = K_JITTER_BASE * hyper.amplitude ** 2
+    for jitter in (0.0, base, 2.0 * base, 4.0 * base, 8.0 * base):
+        try:
+            chol_K = np.tril(cho_factor(K + jitter * eye, lower=True)[0])
+            break
+        except np.linalg.LinAlgError:
+            pass
+    mL = solve_triangular(chol_K, dK.T, lower=True).T
+    ddK.flat[:: grid.size + 1] += DDK_JITTER
+    C = mL @ mL.T
+    np.subtract(ddK, C, out=C)
+    chol_C = np.tril(cho_factor(C, lower=True)[0])
+    return jitter, chol_K, mL, chol_C, cho_solve((chol_C, True), eye)
+
+
+_SEIR_OBS = experiments.get_regime("seir-full").obs_times()
+_UNEVEN_OBS = np.array([0.03, 0.41, 0.77, 1.0, 1.52, 1.9])
+
+
+@pytest.mark.parametrize("times, obs_times, hypers, needs_jitter", [
+    (experiments.get_regime("seir-full").insample_times(), _SEIR_OBS,
+     [MaternHyper(1.3, 2.5, -3.0), MaternHyper(0.4, 0.9), MaternHyper(2.0, 14.0, 1.0)], False),
+    (np.union1d(magi.uniform_grid(0.0, 2.0, 17), _UNEVEN_OBS), _UNEVEN_OBS,
+     [MaternHyper(1.4, 0.35), MaternHyper(0.3, 1.1), MaternHyper(2.2, 0.2)], False),
+    (magi.uniform_grid(0.0, 2.0, 41), magi.uniform_grid(0.0, 2.0, 11),
+     [MaternHyper(1.0, 200.0)] * 3, True),
+], ids=["seir-161", "uneven", "jitter-ladder"])
+def test_kernel_mats_and_cinv_equal_the_scipy_idiom(times, obs_times, hypers, needs_jitter):
+    """build_kernel_mats and MagiProblem's C^{-1} agree bit for bit with the scipy idiom."""
+    obs = ObservationSet(times=obs_times, values=np.ones((obs_times.size, 3)),
+                         mask=(True, True, True))
+    grid = magi.DiscretizationGrid.build(times, obs_times)
+    problem = magi.make_problem(get_model("seir-log"), grid, obs,
+                                {c: GpFit(hyper, 0.1) for c, hyper in enumerate(hypers)})
+    m = times.size
+    for c, hyper in enumerate(hypers):
+        jitter, chol_K, mL, chol_C, Cinv = _scipy_kernel_mats(hyper, times)
+        assert (jitter > 0.0) == needs_jitter
+        km = build_kernel_mats(hyper, lag_table(times))
+        for got, want in ((km.chol_K, chol_K), (km.mL, mL), (km.chol_C, chol_C),
+                          (problem.LA[c, :m], chol_K), (problem.LA[c, m:], mL),
+                          (problem.Cinv[c], Cinv)):
+            assert np.array_equal(got, want)
 
 
 def test_conditional_covariance_nonnegative_spectrum():
@@ -180,7 +234,7 @@ def test_conditional_covariance_nonnegative_spectrum():
 def test_full_lorenz_grid_construction():
     hyper, grid = MaternHyper(amplitude=8.0, lengthscale=1.2), magi.uniform_grid(0.0, 8.0, 321)
     assert conditional_covariance(*kernel_matrices(hyper, grid)).shape == (321, 321)
-    assert np.isfinite(build_kernel_mats(hyper, grid).mL).all()
+    assert np.isfinite(build_kernel_mats(hyper, lag_table(grid)).mL).all()
 
 
 def test_gp_smooth_fit_noiseless_sine():

@@ -62,7 +62,7 @@ def _dense_operators(fits, times):
     for c in sorted(fits):
         hyper = fits[c].hyper
         dK = gp.kernel_matrices(hyper, times)[1]
-        km = gp.build_kernel_mats(hyper, times)
+        km = gp.build_kernel_mats(hyper, gp.lag_table(times))
         ops.append((hyper.mean, km.chol_K, cho_solve((km.chol_K, True), dK.T).T, km.chol_C))
     return ops
 
@@ -158,8 +158,8 @@ def test_problem_keeps_only_the_three_stacked_kernel_arrays(seir_small, monkeypa
     """A problem retains mu, the [L; A] stack and C^{-1}; each kernel bundle is garbage once stacked."""
     predictors = []
 
-    def recording(hyper, grid):
-        km = gp.build_kernel_mats(hyper, grid)
+    def recording(hyper, table):
+        km = gp.build_kernel_mats(hyper, table)
         predictors.append(weakref.ref(km.mL))
         return km
 
@@ -173,6 +173,22 @@ def test_problem_keeps_only_the_three_stacked_kernel_arrays(seir_small, monkeypa
     assert 3 * d * m * m <= values <= 3 * d * m * m + 4 * d * m
     assert not any(isinstance(o, gp.GpKernelMats) for o in reachable)
     assert len(predictors) == d and all(ref() is None for ref in predictors)
+
+
+def test_make_problem_builds_one_lag_table_and_drops_it(seir_small, monkeypatch):
+    tables = []
+
+    def recording(times):
+        table = gp.lag_table(times)
+        tables.append([weakref.ref(a) for a in table])
+        return table
+
+    monkeypatch.setattr(magi, "lag_table", recording)
+    problem = magi.make_problem(seir_small["model"], seir_small["grid"], seir_small["obs"],
+                                seir_small["fits"])
+    gc.collect()
+    assert problem.sizes[1] == 3 and len(tables) == 1
+    assert all(ref() is None for ref in tables[0])
 
 
 def test_missing_component_bookkeeping():
@@ -302,6 +318,30 @@ def test_init_gradient_matching_on_clean_lorenz():
     init = magi.init_missing_components(model, grid, obs, n_iter=4000)
     for j in range(3):
         assert abs(init.theta[j] - theta_true[j]) / theta_true[j] < 0.01
+
+
+@pytest.mark.parametrize("times", [
+    magi.uniform_grid(0.0, 6.0, 161),
+    magi.uniform_grid(0.0, 12.0, 321),
+    np.sort(np.random.default_rng(4).uniform(0.0, 3.0, 40)),
+    np.array([0.0, 0.7]),
+], ids=["161", "321", "uneven", "two-point"])
+def test_diff_matrices_equal_the_row_loop(times):
+    m = times.size
+    d1, d2 = np.zeros((m, m)), np.zeros((m, m))
+    h = np.diff(times)
+    d1[0, 0], d1[0, 1] = -1.0 / h[0], 1.0 / h[0]
+    d1[-1, -2], d1[-1, -1] = -1.0 / h[-1], 1.0 / h[-1]
+    for i in range(1, m - 1):
+        span = times[i + 1] - times[i - 1]
+        d1[i, i - 1], d1[i, i + 1] = -1.0 / span, 1.0 / span
+        hm, hp = h[i - 1], h[i]
+        denom = 0.5 * hm * hp * (hm + hp)
+        d2[i, i - 1], d2[i, i], d2[i, i + 1] = hp / denom, -(hm + hp) / denom, hm / denom
+    if m > 2:
+        d2[0], d2[-1] = d2[1], d2[-2]
+    got1, got2 = magi._diff_matrices(times)
+    assert np.array_equal(got1, d1) and np.array_equal(got2, d2)
 
 
 def _matching_objective(model, x, times):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,18 @@ def test_step_updates_the_given_array_in_place():
     np.testing.assert_allclose(p, before - 0.1 / (1.0 + 1e-8), rtol=1e-15)
     # Views into the array see the update.
     assert view[0] == pytest.approx(3.0 - 0.1 / (1.0 + 1e-8), rel=1e-15)
+
+
+def test_step_allocates_no_parameter_sized_array():
+    # The PINN's parameter count; the moments' temporaries live in preallocated buffers.
+    rng = np.random.default_rng(0)
+    p, g = rng.standard_normal(946), rng.standard_normal(946)
+    adam = Adam(p, lr=1e-3)
+    adam.step(p, g)
+    tracemalloc.start()
+    try:
+        adam.step(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.nbytes
