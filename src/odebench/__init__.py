@@ -27,7 +27,6 @@ from .magi import (
     MagiProblem,
     PosteriorSamples,
     fit_magi,
-    forecast_extended_grid,
     forecast_sequential,
     init_missing_components,
     run_inference,

@@ -33,6 +33,8 @@ class OdeModel:
     No (..., D, D) Jacobian is formed; a dense state Jacobian is D calls
     with unit cotangents.
     jac_param returns (..., D, P) with entry [c, p] = df_c/dtheta_p.
+    Every model is affine in theta: f(x, theta) = f(x, 0) + jac_param(x) theta,
+    so jac_param does not depend on theta.
     """
 
     name: str

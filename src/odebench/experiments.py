@@ -403,8 +403,9 @@ def estimate(regime: RegimeSpec, method: str, options: dict, dataset: Observatio
     if method == "magi":
         sampling = dict(seed=seed, **options)
         if not forecast:
-            post = fit_magi(model, regime.insample_times(), dataset, **sampling)
-        elif regime.forecast_protocol == "extended":
+            post = fit_magi(model, regime.insample_times(), regime.n_grid_insample, dataset,
+                            **sampling)
+        elif regime.forecast_protocol == "extended":  # fit_magi, under its traced name
             post = forecast_extended_grid(model, regime.master_times(), regime.n_grid_insample,
                                           dataset, **sampling)
         else:
@@ -444,7 +445,7 @@ def run_single(
     """Simulate one dataset, ``estimate`` with one method, compute all metrics.
 
     ``options`` reach the method unchanged: the keyword arguments of
-    ``fit_magi`` and the forecast functions past seed, or the fields of
+    ``fit_magi`` and ``forecast_sequential`` past seed, or the fields of
     ``PinnConfig`` past seed.  A key the method does not take, or a MAGI
     sampler setting it lacks, raises TypeError.
 

@@ -9,17 +9,16 @@ ODE parameters, per-component noise scales) combines, per component:
     the conditional mean of the GP derivative, weighted by the conditional
     covariance of that derivative.
 
-Sampling is delegated to the NUTS chain in :mod:`odebench.sampler`.  The
-three protocols share one path: ``_insample_setup`` builds the in-sample
-grid, the gradient-matching initializer and the GP fits; ``run_inference``
-is the one way into a chain: it runs NUTS from a given (x, theta, log sigma)
-and wraps the draws in ``PosteriorSamples``, which derives every summary
-from them.  ``fit_magi`` is the in-sample protocol.
-``forecast_extended_grid`` (epidemic testbed) extends the grid past the
-data; ``forecast_sequential`` (chaotic testbed) starts with ``fit_magi`` and
-then grows the horizon stage by stage from the last draw.  Both forecasts
-continue trajectories past a boundary with ``_continue_past``, and all three
-return ``PosteriorSamples``.
+Sampling is delegated to the NUTS chain in :mod:`odebench.sampler`.
+``run_inference`` is the one way into a chain: it runs NUTS from a given
+(x, theta, log sigma) and wraps the draws in ``PosteriorSamples``, which
+derives every summary from them.  ``fit_magi`` is the one grid driver: it
+initializes and fits the GP hyperparameters on the in-sample rows of its
+grid and, when the grid extends past the data (the epidemic testbed's
+forecast), continues the initial trajectory over the new rows with
+``_continue_past``.  ``forecast_sequential`` (chaotic testbed) starts with
+``fit_magi`` and then grows the horizon stage by stage from the last draw,
+with the same continuation.  Both return ``PosteriorSamples``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "init_missing_components",
     "run_inference",
     "fit_magi",
-    "forecast_extended_grid",
     "forecast_sequential",
     "gp_gradient_estimate",
 ]
@@ -222,15 +220,6 @@ def make_problem(
 # ---------------------------------------------------------------------------
 # Log-posterior and analytic gradient
 # ---------------------------------------------------------------------------
-
-
-def make_sampler_target(problem: MagiProblem):
-    """Sampler-ready whitened log density, as a ``CompiledTarget``.
-
-    Its ``func`` is a ``(q, ctx)`` adapter over ``make_logdensity_whitened``.
-    """
-    reference = make_logdensity_whitened(problem)
-    return CompiledTarget(func=lambda q, _ctx: reference(q), ctx=None)
 
 
 def make_logdensity_whitened(problem: MagiProblem):
@@ -645,8 +634,10 @@ def run_inference(
     caller that rebinds ``magi.run_inference`` or ``magi.nuts_sample`` sees
     every chain.
     """
+    logdensity = make_logdensity_whitened(problem)
+    target = CompiledTarget(func=lambda q, _ctx: logdensity(q), ctx=None)
     config = NutsConfig(n_warmup=n_warmup, n_samples=n_samples, seed=seed)
-    chain = nuts_sample(make_sampler_target(problem), problem.whiten(x, theta, log_sigma), config)
+    chain = nuts_sample(target, problem.whiten(x, theta, log_sigma), config)
     if chain.divergence_rate > DIVERGENCE_WARN_RATE:
         flags += (f"high-divergence-rate:{chain.divergence_rate:.2f}",)
         warnings.warn(
@@ -695,18 +686,6 @@ def _fit_flags(fits: dict[int, GpFit]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(fit.flag for fit in fits.values() if fit.flag))
 
 
-def _insample_setup(model: OdeModel, times: np.ndarray, observations: ObservationSet,
-                    init_budget: int) -> tuple[DiscretizationGrid, InitResult, dict[int, GpFit]]:
-    """The in-sample grid, the gradient-matching initializer and the GP fits.
-
-    The returned initializer also carries the flags of the fits.
-    """
-    grid = DiscretizationGrid.build(np.asarray(times, dtype=float), observations.times)
-    init = init_missing_components(model, grid, observations, n_iter=init_budget)
-    fits = prepare_fits(model, grid, observations, init)
-    return grid, replace(init, flags=init.flags + _fit_flags(fits)), fits
-
-
 def _continue_past(model: OdeModel, x_head: np.ndarray, theta: np.ndarray,
                    times: np.ndarray) -> tuple[np.ndarray, bool]:
     """Extend ``x_head`` (the first rows of ``times``) over all of ``times``.
@@ -729,23 +708,6 @@ def _continue_past(model: OdeModel, x_head: np.ndarray, theta: np.ndarray,
 def fit_magi(
     model: OdeModel,
     times: np.ndarray,
-    observations: ObservationSet,
-    *,
-    n_warmup: int,
-    n_samples: int,
-    seed: int,
-    init_budget: int,
-) -> PosteriorSamples:
-    """In-sample protocol: initialize, fit hyperparameters, sample."""
-    grid, init, fits = _insample_setup(model, times, observations, init_budget)
-    problem = make_problem(model, grid, observations, fits)
-    return run_inference(problem, init.x, init.theta, problem.log_sigma_init, init.flags,
-                         n_warmup=n_warmup, n_samples=n_samples, seed=seed)
-
-
-def forecast_extended_grid(
-    model: OdeModel,
-    full_times: np.ndarray,
     n_insample: int,
     observations: ObservationSet,
     *,
@@ -754,21 +716,31 @@ def forecast_extended_grid(
     seed: int,
     init_budget: int,
 ) -> PosteriorSamples:
-    """Joint inference over the observation window plus a forecast horizon.
+    """Initialize and fit hyperparameters on ``times[:n_insample]``, then sample on ``times``.
 
-    The discretization grid simply extends past the data; the forecast
-    segment of the initial trajectory is continued by numerical integration
-    from the in-sample initializer, and the GP fits are the in-sample ones.
+    With no rows past ``n_insample`` this is the in-sample protocol.  Rows
+    past it are a forecast horizon: the initial trajectory is continued over
+    them by integrating forward from the in-sample initializer, and the GP
+    fits stay the in-sample ones.
     """
-    full_times = np.asarray(full_times, dtype=float)
-    _, init_in, fits = _insample_setup(model, full_times[:n_insample], observations,
-                                       init_budget)
-    x_full, continued = _continue_past(model, init_in.x, init_in.theta, full_times)
-    flags = init_in.flags + (() if continued else ("forecast-init-constant",))
-    problem = make_problem(model, DiscretizationGrid.build(full_times, observations.times),
-                           observations, fits)
-    return run_inference(problem, x_full, init_in.theta, problem.log_sigma_init, flags,
+    times = np.asarray(times, dtype=float)
+    grid = DiscretizationGrid.build(times[:n_insample], observations.times)
+    init = init_missing_components(model, grid, observations, n_iter=init_budget)
+    fits = prepare_fits(model, grid, observations, init)
+    x, flags = init.x, init.flags + _fit_flags(fits)
+    if times.size > n_insample:
+        x, continued = _continue_past(model, init.x, init.theta, times)
+        if not continued:
+            flags += ("forecast-init-constant",)
+        grid = DiscretizationGrid.build(times, observations.times)
+    problem = make_problem(model, grid, observations, fits)
+    return run_inference(problem, x, init.theta, problem.log_sigma_init, flags,
                          n_warmup=n_warmup, n_samples=n_samples, seed=seed)
+
+
+# The extended-grid forecast is ``fit_magi`` on the master grid.  The name
+# stays bound because the benchmark's tracer (bench/tracing.py) rebinds it.
+forecast_extended_grid = fit_magi
 
 
 def forecast_sequential(
@@ -802,8 +774,9 @@ def forecast_sequential(
     seed_seq = np.random.SeedSequence(seed)
     stage_seeds = [int(s.generate_state(1)[0]) for s in seed_seq.spawn(n_steps + 1)]
 
-    samples = fit_magi(model, full_times[:n_insample], observations, n_warmup=n_warmup,
-                       n_samples=n_samples, seed=stage_seeds[0], init_budget=init_budget)
+    samples = fit_magi(model, full_times[:n_insample], n_insample, observations,
+                       n_warmup=n_warmup, n_samples=n_samples, seed=stage_seeds[0],
+                       init_budget=init_budget)
 
     for stage_seed in stage_seeds[1:]:
         prev_len = samples.grid_times.size

@@ -212,9 +212,9 @@ def _transition(f, q, logp, grad, eps, max_depth, rng):
 class CompiledTarget:
     """A log density func(q, ctx) plus the data tuple it reads, called as f(q).
 
-    ``magi.make_sampler_target`` returns one, so code that wraps ``func``
-    sees each log-density call of a chain; the benchmark's tracing counts
-    them that way.  To ``nuts_sample`` it is one more callable target.
+    ``magi.run_inference`` hands every MAGI chain one, so code that wraps
+    ``func`` sees each log-density call of a chain; the benchmark's tracing
+    counts them that way.  To ``nuts_sample`` it is one more callable target.
     """
 
     func: Callable
@@ -284,7 +284,8 @@ def effective_sample_size(x: np.ndarray) -> float:
 
     Pair sums rho[2k] + rho[2k+1] of the autocorrelations from lag 0 are
     kept while positive and forced non-increasing; tau = -1 + 2 * sum(pair
-    sums) and ESS = n / tau, so an anti-correlated chain can exceed n.  tau
+    sums) and ESS = n / tau, so an anti-correlated chain can exceed n.  The
+    autocovariances come from a zero-padded FFT, in O(n log n).  tau
     is floored at 1/log10(n), Stan's bound for near-alternating chains.  A
     chain of at least 4 draws that never moved has ESS 0; a shorter one
     gives n.
@@ -296,7 +297,11 @@ def effective_sample_size(x: np.ndarray) -> float:
     if np.ptp(x) == 0.0:
         return 0.0
     x = x - x.mean()
-    acov = np.correlate(x, x, mode="full")[n - 1:] / n
+    # The autocovariance sum_t x_t x_{t+k} / n through one FFT pair, zero-padded
+    # to a power of two at least 2n - 1 long so no lag wraps around.
+    size = 1 << (2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(x, size)
+    acov = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, size)[:n] / n
     if acov[0] <= 0:
         return 0.0
     pair_sums = (acov[: n - n % 2] / acov[0]).reshape(-1, 2).sum(axis=1)

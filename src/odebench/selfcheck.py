@@ -153,7 +153,7 @@ def _check_posterior_gradient() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     q = problem.whiten(truth.values + 0.05 * rng.standard_normal(truth.values.shape),
                        np.array([1.8, 0.25, 0.5]), np.array([-2.0, -2.1, -1.9]))
-    target = magi.make_sampler_target(problem)
+    target = magi.make_logdensity_whitened(problem)
     _, grad_q = target(q)
     fd_q = central_difference_gradient(lambda v: target(v)[0], q)
     err_q = relative_agreement(grad_q, fd_q, floor=1e-6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odebench.dynamics import get_model, lorenz_rhs, seir_log_rhs
+from odebench.dynamics import _REGISTRY, get_model, lorenz_rhs, seir_log_rhs
 
 from conftest import central_fd, rel_err
 
@@ -83,6 +83,20 @@ def test_jacobians_match_fd_at_many_random_points(name):
         w = rng.standard_normal(3)
         theta_bar = model.vjp(x, theta, 0.0, w)[1]
         assert rel_err(theta_bar, np.einsum("c,cp->p", w, jt), floor=1e-4) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_every_model_is_affine_in_theta(name):
+    """f(x, theta) = f(x, 0) + jac_param(x) theta to rounding, with jac_param
+    read at another theta: it does not depend on theta."""
+    model = get_model(name)
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        x, theta = _random_point(name, rng)
+        jt = model.jac_param(x, _random_point(name, rng)[1], 0.0)
+        base = model.rhs(x, np.zeros(model.param_dim), 0.0)
+        scale = np.abs(base) + np.abs(jt) @ np.abs(theta)
+        assert np.all(np.abs(model.rhs(x, theta, 0.0) - (base + jt @ theta)) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("name", ["seir-log", "lorenz"])

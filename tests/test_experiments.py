@@ -513,7 +513,7 @@ def test_rebound_nuts_sample_sees_every_chain(monkeypatch):
     they are; every chain, each sequential stage's included, starts through
     ``magi.run_inference``."""
     regime, args, kwargs = _sequential_inputs()
-    insample = (args[0], regime.insample_times(), args[-1])
+    insample = (args[0], regime.insample_times(), regime.n_grid_insample, args[-1])
     plain_fit = magi.fit_magi(*insample, **kwargs)
     plain_seq = magi.forecast_sequential(*args, **kwargs)
 

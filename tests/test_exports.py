@@ -50,21 +50,25 @@ def test_trace_hooks_rebind_every_name_and_restore_it(tmp_path, monkeypatch):
 
 
 def test_trace_hooks_see_every_layer_of_a_run(tmp_path, monkeypatch):
-    """A MAGI and a PINN run under the benchmark's trace hooks open a span in
-    every layer the benchmark reports, so no rebound name is a dead import."""
+    """A MAGI fit, an extended-grid MAGI forecast and a PINN run under the
+    benchmark's trace hooks open a span in every layer the benchmark reports,
+    so no rebound name is a dead import."""
     monkeypatch.syspath_prepend(os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer(str(tmp_path))
     undo = tracing.install(tracer)
+    magi_options = {"n_warmup": 5, "n_samples": 5, "init_budget": 50}
     try:
-        for method, options in (("magi", {"n_warmup": 5, "n_samples": 5, "init_budget": 50}),
-                                ("pinn", {"lam": 10.0, "epochs": 20})):
+        for method, options, forecast in (("magi", magi_options, False),
+                                          ("magi", magi_options, True),
+                                          ("pinn", {"lam": 10.0, "epochs": 20}, False)):
             experiments.run_single(tiny_regime(name="tiny-traced"), method, options,
-                                   replicate=0, base_seed=1, out_dir=str(tmp_path / "out"))
+                                   replicate=0, base_seed=1, forecast=forecast,
+                                   out_dir=str(tmp_path / "out"))
     finally:
         tracing.uninstall(undo)
     names = {span.name for span in tracer.spans}
-    for name in ("magi.fit_magi", "magi.run_inference", "pinn.train", "pinn.forward",
-                 "experiments.metrics", "experiments.save"):
+    for name in ("magi.fit_magi", "magi.forecast_extended_grid", "magi.run_inference",
+                 "pinn.train", "pinn.forward", "experiments.metrics", "experiments.save"):
         assert name in names, name

@@ -11,7 +11,6 @@ from odebench import gp, integrate, magi
 from odebench.dynamics import OdeModel, get_model
 from odebench.observations import ObservationSet
 from odebench.optim import Adam
-from odebench.sampler import CompiledTarget, NutsConfig, nuts_sample
 
 from conftest import central_fd, make_missing_e_problem, rel_err, tiny_regime
 
@@ -36,23 +35,11 @@ def test_whitened_gradient_matches_fd(seir_small, lorenz_small):
     # Every target the sampler sees, including one with a missing component.
     problems = [seir_small["problem"], lorenz_small["problem"], make_missing_e_problem()[-1]]
     for problem in problems:
-        target = magi.make_sampler_target(problem)
+        target = magi.make_logdensity_whitened(problem)
         q = problem.whiten(*_state_for(problem, seed=1))
-        _, grad = target.func(q, target.ctx)
-        fd = central_fd(lambda v: target.func(v, target.ctx)[0], q)
+        _, grad = target(q)
+        fd = central_fd(lambda v: target(v)[0], q)
         assert rel_err(grad, fd, floor=1e-4 * max(1.0, np.max(np.abs(fd)))) < 1e-5
-
-
-def test_sampler_target_matches_numpy_reference(seir_small, lorenz_small):
-    for fixture in (seir_small, lorenz_small):
-        problem = fixture["problem"]
-        q = problem.whiten(*_state_for(problem, seed=2))
-        v_ref, g_ref = magi.make_logdensity_whitened(problem)(q)
-        target = magi.make_sampler_target(problem)
-        assert isinstance(target, CompiledTarget)
-        v, g = target.func(q, target.ctx)
-        assert v == v_ref
-        assert np.array_equal(g, g_ref)
 
 
 def _dense_operators(fits, times):
@@ -576,6 +563,23 @@ def test_extended_forecast_keeps_every_init_flag(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_insample_fit_makes_no_integration(monkeypatch):
+    """With no rows past the in-sample ones, fit_magi never integrates."""
+    from odebench import experiments as E
+
+    regime = tiny_regime()
+    obs = E.simulate_dataset(regime, 0)
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("an in-sample fit integrated the ODE")
+
+    monkeypatch.setattr(magi, "integrate_rk45", no_integration)
+    post = magi.fit_magi(regime.model(), regime.insample_times(), regime.n_grid_insample, obs,
+                         n_warmup=5, n_samples=5, seed=0, init_budget=50)
+    assert post.grid_times.size == regime.n_grid_insample
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_gp_fit_flag_reaches_the_run():
     """A flat observed component makes its GP fit flag; the run carries it."""
     model = get_model("lorenz")
@@ -585,5 +589,6 @@ def test_gp_fit_flag_reaches_the_run():
     values = truth.values.copy()
     values[:, 2] = 3.0
     obs = ObservationSet(times=times, values=values, mask=(True, True, True))
-    post = magi.fit_magi(model, times, obs, n_warmup=10, n_samples=10, seed=0, init_budget=50)
+    post = magi.fit_magi(model, times, times.size, obs, n_warmup=10, n_samples=10, seed=0,
+                         init_budget=50)
     assert "degenerate-flat-data" in post.flags

@@ -200,18 +200,52 @@ def test_effective_sample_size_iid_vs_correlated():
     assert effective_sample_size(ar) < 300
 
 
-@pytest.mark.parametrize("phi", [-0.5, 0.0, 0.5])
-def test_effective_sample_size_matches_ar1_closed_form(phi):
-    # An anti-correlated chain (phi < 0) carries more information than n
-    # independent draws, so its ESS exceeds n.
-    n = 20_000
+def _ar1_chain(phi, n=20_000):
     rng = np.random.default_rng(0)
     noise = rng.standard_normal(n)
     x = np.empty(n)
     x[0] = noise[0] / math.sqrt(1.0 - phi * phi)
     for i in range(1, n):
         x[i] = phi * x[i - 1] + noise[i]
-    assert effective_sample_size(x) == pytest.approx(n * (1.0 - phi) / (1.0 + phi), rel=0.1)
+    return x
+
+
+@pytest.mark.parametrize("phi", [-0.5, 0.0, 0.5])
+def test_effective_sample_size_matches_ar1_closed_form(phi):
+    # An anti-correlated chain (phi < 0) carries more information than n
+    # independent draws, so its ESS exceeds n.
+    n = 20_000
+    assert effective_sample_size(_ar1_chain(phi, n)) == pytest.approx(
+        n * (1.0 - phi) / (1.0 + phi), rel=0.1)
+
+
+def _ess_by_direct_sums(x):
+    """Geyer's initial monotone ESS with each autocovariance summed lag by lag,
+    up to the first nonpositive pair: the oracle for the FFT path."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 4:
+        return float(n)
+    if np.ptp(x) == 0.0:
+        return 0.0
+    x = x - x.mean()
+    acov0 = float(x @ x) / n
+    total, smallest = 0.0, math.inf
+    for k in range(0, n - n % 2, 2):
+        pair = (float(x[: n - k] @ x[k:]) + float(x[: n - k - 1] @ x[k + 1:])) / n / acov0
+        if pair <= 0.0:
+            break
+        smallest = min(smallest, pair)
+        total += smallest
+    return n / max(-1.0 + 2.0 * total, 1.0 / math.log10(n))
+
+
+@pytest.mark.parametrize("chain", [
+    _ar1_chain(-0.5), _ar1_chain(0.0), _ar1_chain(0.5), np.full(500, 2.0),
+    np.array([0.3, -1.2, 0.8, 0.1]),
+], ids=["ar1-0.5", "ar1+0.0", "ar1+0.5", "frozen", "four-draws"])
+def test_effective_sample_size_matches_direct_sums(chain):
+    assert effective_sample_size(chain) == pytest.approx(_ess_by_direct_sums(chain), rel=1e-10)
 
 
 def test_effective_sample_size_of_short_chain_is_its_length():
