@@ -125,12 +125,15 @@ def infer(ctx, regime_name, method, lam, epochs, layers, warmup, samples,
     else:
         options = {"n_warmup": p["warmup"], "n_samples": p["samples"],
                    "init_budget": p["init_budget"]}
-    result = experiments.run_study(
-        regime, [(p["method"], options)], replicates=p["replicates"],
-        base_seed=p["seed"], parallelism=p["jobs"], out_dir=p["out"],
-        forecast=p["forecast"], save_artifacts=True,
-        first_replicate=p["first_replicate"],
-    )
+    try:
+        result = experiments.run_study(
+            regime, [(p["method"], options)], replicates=p["replicates"],
+            base_seed=p["seed"], parallelism=p["jobs"], out_dir=p["out"],
+            forecast=p["forecast"], save_artifacts=True,
+            first_replicate=p["first_replicate"],
+        )
+    except ValueError as exc:  # --out holds these runs made with other settings
+        raise click.UsageError(str(exc)) from exc
     click.echo(
         f"regime={regime.name} method={p['method']} attempted={result.attempted} "
         f"failed={result.failed} skipped={result.skipped}")

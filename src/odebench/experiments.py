@@ -413,7 +413,7 @@ def estimate(regime: RegimeSpec, method: str, options: dict, dataset: Observatio
                                        regime.points_per_step, dataset, **sampling)
 
         def save_posterior(out_dir: str, name: str, chash: str) -> None:
-            replace(post, config_hash=chash).save(os.path.join(out_dir, f"posterior_{name}"))
+            post.save(os.path.join(out_dir, f"posterior_{name}"), chash)
 
         return Estimate(Trajectory(times=post.grid_times, values=post.x_mean), post.x_deriv_mean,
                         post.theta_mean, post.theta_ci, post.flags, save_posterior)
@@ -592,9 +592,13 @@ def run_study(
 
     Resumable: finished (regime, method, lambda, replicate) combinations are
     skipped when their config hash matches the manifest from the earlier
-    run.  Individual failures are recorded with an error flag and the study
-    continues.  Replicates, serial or pooled, run on one BLAS thread, so the
-    results do not depend on parallelism or on the core count.
+    run, and failed ones run again.  A finished combination whose hash
+    differs (other options, seed or protocol) raises ValueError before any
+    job runs, so out_dir never holds two configurations' rows for one
+    combination.  Individual failures are recorded with an error flag and
+    the study continues.  Replicates, serial or pooled, run on one BLAS
+    thread, so the results do not depend on parallelism or on the core
+    count.
     """
     rows_out: list[tuple] = []
     manifest_path = results_path = None
@@ -609,14 +613,21 @@ def run_study(
 
     jobs = []
     skipped = 0
+    changed = []
     for replicate in range(first_replicate, first_replicate + replicates):
         for method, options in methods:
             run_id = _run_identity(regime, method, options, replicate, base_seed, forecast)
-            if manifest.get(run_id.key, {}).get("config_hash") == run_id.config_hash:
+            held = manifest.get(run_id.key, {}).get("config_hash")
+            if held == run_id.config_hash:
                 skipped += 1
                 continue
+            if held:  # a finished run with other settings; a failed run holds ""
+                changed.append(run_id.key)
             jobs.append((run_id, (regime, method, dict(options or {}), replicate,
                                   base_seed, forecast, out_dir if save_artifacts else None)))
+    if changed:
+        raise ValueError(f"{out_dir} holds runs made with other settings: "
+                         f"{', '.join(changed)}; write this configuration to another out_dir")
 
     def handle(key, outcome):
         rows, run_manifest = outcome

@@ -519,11 +519,10 @@ class PosteriorSamples:
     sigma_components: tuple[str, ...]
     draws: np.ndarray  # n_samples x dim
     seed: int
-    config_hash: str = ""
-    flags: tuple[str, ...] = ()
-    step_size: float = float("nan")
-    divergence_count: int = 0
-    x_deriv_mean: np.ndarray | None = None  # GP-derivative estimate at x_mean
+    flags: tuple[str, ...]
+    step_size: float
+    divergence_count: int
+    x_deriv_mean: np.ndarray  # GP-derivative estimate at x_mean
 
     def _draw_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _blocks(self.draws, self.grid_times.size, len(self.component_names),
@@ -554,8 +553,11 @@ class PosteriorSamples:
     def sigma_mean(self) -> np.ndarray:
         return np.exp(self.log_sigma_draws()).mean(axis=0)
 
-    def save(self, prefix: str) -> None:
-        """Write draws as flat doubles plus a JSON sidecar and summary CSV."""
+    def save(self, prefix: str, config_hash: str) -> None:
+        """Write draws as flat doubles plus a JSON sidecar and summary CSV.
+
+        ``config_hash`` names the run's configuration in the sidecar.
+        """
         self.draws.astype(np.float64).tofile(f"{prefix}.bin")
         m, d = self.grid_times.size, len(self.component_names)
         sidecar = {
@@ -568,7 +570,7 @@ class PosteriorSamples:
             "sigma_components": list(self.sigma_components),
             "grid_times": [float(t) for t in self.grid_times],
             "seed": int(self.seed),
-            "config_hash": self.config_hash,
+            "config_hash": config_hash,
             "flags": list(self.flags),
             "step_size": float(self.step_size),
             "divergence_count": int(self.divergence_count),
@@ -588,24 +590,6 @@ class PosteriorSamples:
             fh.write("kind,name,time,mean,q025,q975\n")
             for kind, name, time, mean, (lo, hi) in rows:
                 fh.write(f"{kind},{name},{time},{mean:.17g},{lo:.17g},{hi:.17g}\n")
-
-    @classmethod
-    def load(cls, prefix: str) -> "PosteriorSamples":
-        with open(f"{prefix}.json") as fh:
-            meta = json.load(fh)
-        return cls(
-            grid_times=np.asarray(meta["grid_times"]),
-            component_names=tuple(meta["component_names"]),
-            param_names=tuple(meta["param_names"]),
-            sigma_components=tuple(meta["sigma_components"]),
-            draws=np.fromfile(f"{prefix}.bin", dtype=np.float64).reshape(
-                meta["n_samples"], meta["dim"]),
-            seed=meta["seed"],
-            config_hash=meta["config_hash"],
-            flags=tuple(meta["flags"]),
-            step_size=meta["step_size"],
-            divergence_count=meta["divergence_count"],
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,6 @@ class ChainResult:
     n_leapfrog: int  # leapfrog steps of all transitions; the step-size probe's not counted
 
     @property
-    def mean_accept(self) -> float:
-        return float(np.mean(self.accept_stats))
-
-    @property
     def divergence_rate(self) -> float:
         return self.divergence_count / max(1, self.draws.shape[0])
 

@@ -108,6 +108,17 @@ def test_infer_seed_reproducibility(runner, tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
+def test_infer_refuses_other_settings_in_a_used_out(runner, tmp_path):
+    args = ["infer", "--regime", "seir-full", "--method", "pinn", "--lambda", "1",
+            "--replicates", "1", "--seed", "9", "--out", str(tmp_path)]
+    assert runner.invoke(main, args + ["--epochs", "20"]).exit_code == 0
+    rows = (tmp_path / "results.csv").read_bytes()
+    result = runner.invoke(main, args + ["--epochs", "30"])
+    assert result.exit_code == 2
+    assert "other settings" in result.output
+    assert (tmp_path / "results.csv").read_bytes() == rows
+
+
 def test_report_aggregates_and_grouping(runner, tmp_path):
     results = tmp_path / "results.csv"
     with open(results, "w", newline="") as fh:

@@ -285,6 +285,35 @@ def test_run_study_records_failures(tmp_path):
     assert res.rows[0][6] == "error"
 
 
+@pytest.mark.parametrize("rerun", [dict(methods=[("pinn", {"lam": 10, "epochs": 30})]),
+                                   dict(forecast=True)], ids=["options", "protocol"])
+def test_run_study_refuses_a_changed_config(tmp_path, monkeypatch, rerun):
+    """Rows of two configurations never share an out_dir: the rerun raises first."""
+    regime = tiny_regime(name="tiny-resume")
+    study = dict(methods=[("pinn", {"lam": 10, "epochs": 20})], replicates=2, base_seed=0,
+                 out_dir=str(tmp_path))
+    E.run_study(regime, **study)
+    before = {name: (tmp_path / name).read_bytes() for name in ("results.csv", "manifest.json")}
+    ran = []
+    monkeypatch.setattr(E, "run_single", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=r"tiny-resume\|pinn\|10\|0, tiny-resume\|pinn\|10\|1;"):
+        E.run_study(regime, **{**study, **rerun})
+    assert ran == []
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
+def test_run_study_retries_a_failed_run(tmp_path):
+    regime = tiny_regime(name="tiny-retry")
+    bad = E.run_study(regime, [("pinn", {"lam": 10, "epochs": "not-a-number"})],
+                      replicates=1, base_seed=0, out_dir=str(tmp_path))
+    assert bad.failed == 1
+    good = E.run_study(regime, [("pinn", {"lam": 10, "epochs": 20})],
+                       replicates=1, base_seed=0, out_dir=str(tmp_path))
+    assert (good.attempted, good.failed, good.skipped) == (1, 0, 0)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "error" not in manifest["tiny-retry|pinn|10|0"]
+
+
 def test_run_single_magi_metrics(tmp_path):
     regime = tiny_regime(name="tiny-metrics")
     rows, manifest = E.run_single(regime, "magi",

@@ -263,7 +263,7 @@ def test_chain_result_properties():
                       accept_stats=np.full(10, 0.9), energy_errors=np.zeros(10),
                       n_transitions=20, n_leapfrog=60)
     assert res.divergence_rate == pytest.approx(0.2)
-    assert res.mean_accept == pytest.approx(0.9)
+    assert np.array_equal(res.accept_stats, np.full(10, 0.9))
 
 
 def test_no_warmup_samples_at_the_probed_step():
