@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Commands: simulate, infer, report, regimes, selfcheck.  Flags may be
-supplemented by a plain "key = value" config file; explicit flags always
-win.  Exit codes: 0 success, 2 configuration error, 3 empty or missing
-input, 4 every attempted run failed.
+Commands: simulate, infer, report, regimes, selfcheck.  `--config` names a
+plain "key = value" file whose values become the command's defaults: a key
+is an option's name with "-" and "_" alike ("lam" for --lambda), values are
+checked like flags, and an explicit flag wins.  Exit codes: 0 success, 2
+configuration error (a refused setting exits before any run), 3 empty or
+missing input, 4 every attempted run failed.
 """
 
 from __future__ import annotations
@@ -35,26 +37,24 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(ctx: click.Context, config_path: str | None) -> None:
-    """Fill parameters from the config file wherever no flag was given."""
-    if not config_path:
+def _load_config(ctx: click.Context, _param: click.Parameter, path: str | None) -> None:
+    """Make the config file's values the command's defaults (eager, so first)."""
+    if path is None:
         return
-    cfg = _parse_config_file(config_path)
-    for param in ctx.command.params:
-        if param.name in cfg and ctx.get_parameter_source(param.name) != \
-                click.core.ParameterSource.COMMANDLINE:
-            ctx.params[param.name] = param.type.convert(cfg[param.name], param, ctx)
-    unknown = set(cfg) - {p.name for p in ctx.command.params}
+    cfg = _parse_config_file(path)
+    unknown = set(cfg) - {p.name for p in ctx.command.params if p.expose_value}
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+    ctx.default_map = cfg
 
 
-def _regime_or_exit(name: str) -> experiments.RegimeSpec:
-    try:
-        return experiments.get_regime(name)
-    except KeyError:
-        names = ", ".join(r.name for r in experiments.builtin_regimes())
-        raise click.UsageError(f"unknown regime {name!r}; choose one of: {names}")
+_config_option = click.option(
+    "--config", type=click.Path(exists=True), is_eager=True, expose_value=False,
+    callback=_load_config, help="'key = value' file of option defaults.")
+_regime_option = click.option(
+    "--regime", required=True, help="Regime name (see `regimes`).",
+    type=click.Choice([spec.name for spec in experiments.builtin_regimes()]),
+    callback=lambda _ctx, _param, name: experiments.get_regime(name))
 
 
 @click.group()
@@ -63,43 +63,43 @@ def main():
 
 
 @main.command()
-@click.option("--regime", "regime_name", required=True, help="Regime name (see `regimes`).")
+@_regime_option
 @click.option("--replicates", default=1, show_default=True)
 @click.option("--first-replicate", default=0, show_default=True)
 @click.option("--seed", default=0, show_default=True, help="Base seed for all replicates.")
 @click.option("--out", default=DEFAULT_OUT, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def simulate(ctx, regime_name, replicates, first_replicate, seed, out, config_path):
+@_config_option
+def simulate(regime, replicates, first_replicate, seed, out):
     """Write simulated dataset CSVs (plus JSON sidecars) for a regime."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    regime = _regime_or_exit(p["regime_name"])
-    os.makedirs(p["out"], exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     model = regime.model()
     written = []
-    for r in range(p["first_replicate"], p["first_replicate"] + p["replicates"]):
-        ds_seed = experiments.dataset_seed(p["seed"], regime, r)
+    for r in range(first_replicate, first_replicate + replicates):
+        ds_seed = experiments.dataset_seed(seed, regime, r)
         dataset = experiments.simulate_dataset(regime, ds_seed)
-        path = os.path.join(p["out"], f"dataset_{regime.name}_rep{r}.csv")
+        path = os.path.join(out, f"dataset_{regime.name}_rep{r}.csv")
         dataset.to_csv(path, model.component_names,
                        sidecar={"regime": regime.name, "replicate": r,
-                                "base_seed": p["seed"]})
+                                "base_seed": seed})
         written.append(path)
-    click.echo(f"regime={regime.name} replicates={p['replicates']} seed={p['seed']}")
+    click.echo(f"regime={regime.name} replicates={replicates} seed={seed}")
     for path in written:
         click.echo(f"wrote {path}")
 
 
 @main.command()
-@click.option("--regime", "regime_name", required=True)
+@_regime_option
 @click.option("--method", type=click.Choice(["magi", "pinn"]), required=True)
-@click.option("--lambda", "lam", default=10.0, show_default=True,
-              help="PINN data-loss weight.")
-@click.option("--epochs", default=60000, show_default=True, help="PINN training epochs.")
-@click.option("--layers", default=3, show_default=True, help="PINN hidden layers (3 or 4).")
-@click.option("--warmup", default=3000, show_default=True, help="NUTS warmup steps.")
-@click.option("--samples", default=3000, show_default=True, help="NUTS kept draws.")
+@click.option("--lambda", "lam", type=click.FloatRange(min=0, min_open=True), default=10.0,
+              show_default=True, help="PINN data-loss weight.")
+@click.option("--epochs", type=click.IntRange(min=1), default=60000, show_default=True,
+              help="PINN training epochs.")
+@click.option("--layers", type=click.IntRange(3, 4), default=3, show_default=True,
+              help="PINN hidden layers.")
+@click.option("--warmup", type=click.IntRange(min=0), default=3000, show_default=True,
+              help="NUTS warmup steps.")
+@click.option("--samples", type=click.IntRange(min=1), default=3000, show_default=True,
+              help="NUTS kept draws.")
 @click.option("--init-budget", default=3000, show_default=True,
               help="Adam steps of the gradient-matching initializer; used only when "
                    "a component is unobserved (a fully observed regime solves theta "
@@ -111,33 +111,25 @@ def simulate(ctx, regime_name, replicates, first_replicate, seed, out, config_pa
               help="Run the regime's forecasting protocol.")
 @click.option("--jobs", default=1, show_default=True, help="Parallel replicate workers.")
 @click.option("--out", default=DEFAULT_OUT, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def infer(ctx, regime_name, method, lam, epochs, layers, warmup, samples,
-          init_budget, replicates, first_replicate, seed, forecast, jobs, out,
-          config_path):
+@_config_option
+def infer(regime, method, lam, epochs, layers, warmup, samples, init_budget,
+          replicates, first_replicate, seed, forecast, jobs, out):
     """Run one inference method over a replicate range and write metrics."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    regime = _regime_or_exit(p["regime_name"])
-    if p["method"] == "pinn":
-        options = {"lam": p["lam"], "epochs": p["epochs"], "n_hidden": p["layers"]}
+    if method == "pinn":
+        options = {"lam": lam, "epochs": epochs, "n_hidden": layers}
     else:
-        options = {"n_warmup": p["warmup"], "n_samples": p["samples"],
-                   "init_budget": p["init_budget"]}
+        options = {"n_warmup": warmup, "n_samples": samples, "init_budget": init_budget}
     try:
         result = experiments.run_study(
-            regime, [(p["method"], options)], replicates=p["replicates"],
-            base_seed=p["seed"], parallelism=p["jobs"], out_dir=p["out"],
-            forecast=p["forecast"], save_artifacts=True,
-            first_replicate=p["first_replicate"],
+            regime, [(method, options)], replicates=replicates, base_seed=seed,
+            parallelism=jobs, out_dir=out, forecast=forecast, save_artifacts=True,
+            first_replicate=first_replicate,
         )
     except ValueError as exc:  # --out holds these runs made with other settings
         raise click.UsageError(str(exc)) from exc
-    click.echo(
-        f"regime={regime.name} method={p['method']} attempted={result.attempted} "
-        f"failed={result.failed} skipped={result.skipped}")
-    click.echo(f"results: {os.path.join(p['out'], 'results.csv')}")
+    click.echo(f"regime={regime.name} method={method} attempted={result.attempted} "
+               f"failed={result.failed} skipped={result.skipped}")
+    click.echo(f"results: {os.path.join(out, 'results.csv')}")
     if result.attempted > 0 and result.failed == result.attempted:
         click.echo("all runs failed", err=True)
         sys.exit(4)
@@ -150,8 +142,7 @@ def infer(ctx, regime_name, method, lam, epochs, layers, warmup, samples,
 @click.option("--out", default=DEFAULT_OUT, show_default=True)
 @click.option("--summary-csv", default=None,
               help="Where to write the aggregated table [default: <out>/summary.csv]")
-@click.pass_context
-def report(ctx, results_path, out, summary_csv):
+def report(results_path, out, summary_csv):
     """Aggregate metric rows into boxplot statistics per method and metric.
 
     ci_hit rows give the interval coverage (their mean) instead, printed

@@ -593,12 +593,13 @@ def run_study(
     Resumable: finished (regime, method, lambda, replicate) combinations are
     skipped when their config hash matches the manifest from the earlier
     run, and failed ones run again.  A finished combination whose hash
-    differs (other options, seed or protocol) raises ValueError before any
-    job runs, so out_dir never holds two configurations' rows for one
-    combination.  Individual failures are recorded with an error flag and
-    the study continues.  Replicates, serial or pooled, run on one BLAS
-    thread, so the results do not depend on parallelism or on the core
-    count.
+    differs (other options, seed or protocol), or one that two of `methods`
+    name with different hashes, raises ValueError before any job runs, so
+    out_dir never holds two configurations' rows for one combination; an
+    identical repeat runs once.  Individual failures are recorded with an
+    error flag and the study continues.  Replicates, serial or pooled, run
+    on one BLAS thread, so the results do not depend on parallelism or on
+    the core count.
     """
     rows_out: list[tuple] = []
     manifest_path = results_path = None
@@ -614,20 +615,22 @@ def run_study(
     jobs = []
     skipped = 0
     changed = []
+    # A job planned here holds its key like a finished run in the manifest.
+    held = {key: entry.get("config_hash") for key, entry in manifest.items()}
     for replicate in range(first_replicate, first_replicate + replicates):
         for method, options in methods:
             run_id = _run_identity(regime, method, options, replicate, base_seed, forecast)
-            held = manifest.get(run_id.key, {}).get("config_hash")
-            if held == run_id.config_hash:
+            if held.get(run_id.key) == run_id.config_hash:
                 skipped += 1
                 continue
-            if held:  # a finished run with other settings; a failed run holds ""
+            if held.get(run_id.key):  # a run with other settings; a failed run holds ""
                 changed.append(run_id.key)
+            held[run_id.key] = run_id.config_hash
             jobs.append((run_id, (regime, method, dict(options or {}), replicate,
                                   base_seed, forecast, out_dir if save_artifacts else None)))
     if changed:
-        raise ValueError(f"{out_dir} holds runs made with other settings: "
-                         f"{', '.join(changed)}; write this configuration to another out_dir")
+        raise ValueError(f"runs made with other settings already hold {', '.join(changed)}; "
+                         "give each configuration its own study and out_dir")
 
     def handle(key, outcome):
         rows, run_manifest = outcome

@@ -200,3 +200,58 @@ def test_selfcheck_passes(runner):
     result = runner.invoke(main, ["selfcheck"])
     assert result.exit_code == 0, result.output
     assert result.output.count("PASS") == 6
+
+
+def test_config_supplies_required_options(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("regime = seir-full\nmethod = pinn\nepochs = 20\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["infer", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "regime=seir-full method=pinn attempted=1" in result.output
+    assert (out / "results.csv").exists()
+
+
+def test_config_forecast_true_sets_the_flag(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("forecast = true\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["infer", "--regime", "seir-full", "--method", "pinn",
+                                  "--epochs", "20", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / "results.csv") as fh:
+        assert any(r["metric_name"] == "rmse_forecast" for r in csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("line", ["seed = eleven", "regime = nope"], ids=["seed", "regime"])
+def test_config_value_checked_like_a_flag(runner, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"regime = seir-full\n{line}\n")
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
+def test_infer_flag_beats_config(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("regime = lorenz-chaotic\nmethod = magi\nlam = 5\nepochs = 30\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["infer", "--config", str(cfg), "--method", "pinn",
+                                  "--lambda", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(r["regime"], r["method"], r["lambda"]) for r in rows} == \
+        {("lorenz-chaotic", "pinn", "2")}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["lorenz-chaotic|pinn|2|0"]
+
+
+def test_infer_refused_setting_exits_2_before_any_run(runner, tmp_path):
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["infer", "--regime", "seir-full", "--method", "pinn",
+                                  "--layers", "5", "--epochs", "5", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--layers" in result.output
+    assert not out.exists()

@@ -302,6 +302,31 @@ def test_run_study_refuses_a_changed_config(tmp_path, monkeypatch, rerun):
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
+def test_run_study_refuses_two_settings_for_one_key(tmp_path, monkeypatch):
+    """Two PINN entries at one lambda share a key: the study raises before any job runs."""
+    ran = []
+    monkeypatch.setattr(E, "run_single", lambda *args: ran.append(args))
+    methods = [("pinn", {"lam": 10, "epochs": 20}), ("pinn", {"lam": 10, "epochs": 30})]
+    with pytest.raises(ValueError, match=r"tiny-twice\|pinn\|10\|0;"):
+        E.run_study(tiny_regime(name="tiny-twice"), methods, replicates=1,
+                    out_dir=str(tmp_path / "s"))
+    assert ran == []
+    assert not os.path.exists(tmp_path / "s" / "results.csv")
+    assert not os.path.exists(tmp_path / "s" / "manifest.json")
+
+
+def test_run_study_runs_an_identical_entry_once(tmp_path):
+    methods = [("pinn", {"lam": 10, "epochs": 20})] * 2
+    res = E.run_study(tiny_regime(name="tiny-twice"), methods, replicates=1,
+                      out_dir=str(tmp_path))
+    assert res.attempted == 1 and res.skipped == 1 and res.failed == 0
+    with open(tmp_path / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    keys = [(r["component_or_parameter"], r["metric_name"]) for r in rows]
+    assert len(keys) == len(set(keys))
+    assert len(json.loads((tmp_path / "manifest.json").read_text())) == 1
+
+
 def test_run_study_retries_a_failed_run(tmp_path):
     regime = tiny_regime(name="tiny-retry")
     bad = E.run_study(regime, [("pinn", {"lam": 10, "epochs": "not-a-number"})],
