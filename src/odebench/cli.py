@@ -64,8 +64,8 @@ def main():
 
 @main.command()
 @_regime_option
-@click.option("--replicates", default=1, show_default=True)
-@click.option("--first-replicate", default=0, show_default=True)
+@click.option("--replicates", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--first-replicate", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--seed", default=0, show_default=True, help="Base seed for all replicates.")
 @click.option("--out", default=DEFAULT_OUT, show_default=True)
 @_config_option
@@ -100,16 +100,17 @@ def simulate(regime, replicates, first_replicate, seed, out):
               help="NUTS warmup steps.")
 @click.option("--samples", type=click.IntRange(min=1), default=3000, show_default=True,
               help="NUTS kept draws.")
-@click.option("--init-budget", default=3000, show_default=True,
+@click.option("--init-budget", type=click.IntRange(min=0), default=3000, show_default=True,
               help="Adam steps of the gradient-matching initializer; used only when "
                    "a component is unobserved (a fully observed regime solves theta "
                    "directly).")
-@click.option("--replicates", default=1, show_default=True)
-@click.option("--first-replicate", default=0, show_default=True)
+@click.option("--replicates", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--first-replicate", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--forecast", is_flag=True, default=False,
               help="Run the regime's forecasting protocol.")
-@click.option("--jobs", default=1, show_default=True, help="Parallel replicate workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Parallel replicate workers.")
 @click.option("--out", default=DEFAULT_OUT, show_default=True)
 @_config_option
 def infer(regime, method, lam, epochs, layers, warmup, samples, init_budget,

@@ -32,23 +32,21 @@ class OdeModel:
     theta_bar[p] = sum over the leading axes and c of w_c df_c/dtheta_p.
     No (..., D, D) Jacobian is formed; a dense state Jacobian is D calls
     with unit cotangents.
-    jac_param returns (..., D, P) with entry [c, p] = df_c/dtheta_p.
-    Every model is affine in theta: f(x, theta) = f(x, 0) + jac_param(x) theta,
-    so jac_param does not depend on theta.
+    jac_param(x, t) returns (..., D, P) with entry [c, p] = df_c/dtheta_p.
+    Every model is affine in theta: f(x, theta) = f(x, 0) + jac_param(x, t) theta,
+    so jac_param takes no theta.
+    The dimensions D and P are the lengths of the name tuples, and a
+    parameter is positive when its prior box's lower edge is above 0.
     """
 
     name: str
-    state_dim: int
-    param_dim: int
     component_names: tuple[str, ...]
     param_names: tuple[str, ...]
     rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     vjp: Callable[[np.ndarray, np.ndarray, float, np.ndarray],
                   tuple[np.ndarray, np.ndarray]]
-    jac_param: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    # True where the parameter is constrained positive (used by optimizers
-    # that work on log-scale) and the sampler's flat prior box.
-    positive_params: tuple[bool, ...]
+    jac_param: Callable[[np.ndarray, float], np.ndarray]
+    # The sampler's flat prior box, one (low, high) row per parameter.
     theta_box: tuple[tuple[float, float], ...]
     # True where states are logs of the physical quantities: peaks are read after exp.
     log_states: bool
@@ -57,11 +55,22 @@ class OdeModel:
 
     def __post_init__(self):
         if self.state_dim <= 0 or self.param_dim <= 0:
-            raise ValueError("state_dim and param_dim must be positive")
-        if len(self.component_names) != self.state_dim:
-            raise ValueError("component_names length must equal state_dim")
-        if len(self.param_names) != self.param_dim:
-            raise ValueError("param_names length must equal param_dim")
+            raise ValueError("a model needs at least one component and one parameter")
+        if len(self.theta_box) != self.param_dim:
+            raise ValueError("theta_box needs one (low, high) row per parameter")
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.component_names)
+
+    @property
+    def param_dim(self) -> int:
+        return len(self.param_names)
+
+    @property
+    def positive_params(self) -> tuple[bool, ...]:
+        """True where the parameter is constrained positive: optimizers move it on log scale."""
+        return tuple(lo > 0 for lo, _ in self.theta_box)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +118,7 @@ def seir_log_vjp(state: np.ndarray, theta: np.ndarray, t: float,
     return x_bar, theta_bar
 
 
-def seir_log_jac_param(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarray:
+def seir_log_jac_param(state: np.ndarray, t: float = 0.0) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     e = np.exp(state[..., 0])
     i = np.exp(state[..., 1])
@@ -156,7 +165,7 @@ def lorenz_vjp(state: np.ndarray, theta: np.ndarray, t: float,
     return x_bar, theta_bar
 
 
-def lorenz_jac_param(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np.ndarray:
+def lorenz_jac_param(state: np.ndarray, t: float = 0.0) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
     jac = np.zeros(state.shape[:-1] + (3, 3), dtype=float)
@@ -168,14 +177,11 @@ def lorenz_jac_param(state: np.ndarray, theta: np.ndarray, t: float = 0.0) -> np
 
 SEIR_LOG = OdeModel(
     name="seir-log",
-    state_dim=3,
-    param_dim=3,
     component_names=("logE", "logI", "logR"),
     param_names=("beta", "gamma", "sigma"),
     rhs=seir_log_rhs,
     vjp=seir_log_vjp,
     jac_param=seir_log_jac_param,
-    positive_params=(True, True, True),
     theta_box=((1e-6, 100.0), (1e-6, 100.0), (1e-6, 100.0)),
     log_states=True,
     oscillatory=False,
@@ -183,14 +189,11 @@ SEIR_LOG = OdeModel(
 
 LORENZ = OdeModel(
     name="lorenz",
-    state_dim=3,
-    param_dim=3,
     component_names=("X", "Y", "Z"),
     param_names=("beta", "rho", "sigma"),
     rhs=lorenz_rhs,
     vjp=lorenz_vjp,
     jac_param=lorenz_jac_param,
-    positive_params=(True, False, True),
     theta_box=((1e-6, 100.0), (-100.0, 100.0), (1e-6, 100.0)),
     log_states=False,
     oscillatory=True,

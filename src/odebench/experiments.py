@@ -258,7 +258,6 @@ def simulate_dataset(regime: RegimeSpec, replicate_seed: int) -> ObservationSet:
     return ObservationSet(
         times=times,
         values=values,
-        mask=regime.observed_mask,
         noise_spec={
             "kind": regime.noise_kind,
             "level": regime.noise_level,
@@ -592,11 +591,11 @@ def run_study(
 
     Resumable: finished (regime, method, lambda, replicate) combinations are
     skipped when their config hash matches the manifest from the earlier
-    run, and failed ones run again.  A finished combination whose hash
-    differs (other options, seed or protocol), or one that two of `methods`
-    name with different hashes, raises ValueError before any job runs, so
-    out_dir never holds two configurations' rows for one combination; an
-    identical repeat runs once.  Individual failures are recorded with an
+    run, and failed ones run again, their error rows dropped first.  A
+    finished combination whose hash differs (other options, seed or
+    protocol), or one that two of `methods` name with different hashes,
+    raises ValueError before any job runs, so out_dir never holds two
+    configurations' rows for one combination; an identical repeat runs once.  Individual failures are recorded with an
     error flag and the study continues.  Replicates, serial or pooled, run
     on one BLAS thread, so the results do not depend on parallelism or on
     the core count.
@@ -631,6 +630,17 @@ def run_study(
     if changed:
         raise ValueError(f"runs made with other settings already hold {', '.join(changed)}; "
                          "give each configuration its own study and out_dir")
+    # Every planned key the manifest holds is a failed run (a finished one is
+    # skipped or refused above): its retry writes its rows afresh.
+    retried = {run_id.key for run_id, _ in jobs if run_id.key in manifest}
+    if retried and results_path is not None and os.path.exists(results_path):
+        with open(results_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        with open(results_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(row for row in rows
+                             if row[6] != "error" or "|".join(row[:4]) not in retried)
 
     def handle(key, outcome):
         rows, run_manifest = outcome

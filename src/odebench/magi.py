@@ -154,17 +154,14 @@ class MagiProblem:
             self.LA[c, m_sz:] = km.mL
             self.Cinv[c] = lapack.dpotrs(km.chol_C, eye, lower=1)[0]
 
-        flat, vals, counts = [], [], []
-        for c in self.observed:
-            col = observations.values[:, c]
-            keep = ~np.isnan(col)
-            flat.append(c * m_sz + grid.obs_index[keep])
-            vals.append(col[keep])
-            counts.append(int(keep.sum()))
-        self.obs_flat = np.concatenate(flat)
-        self.obs_vals = np.concatenate(vals)
-        self.obs_comp = np.repeat(np.arange(len(counts)), counts)
-        self.obs_counts = np.array(counts, dtype=float)
+        # Observed entries component by component, each in time order.
+        cols = observations.values[:, self.observed].T
+        seen = ~np.isnan(cols)
+        self.obs_comp, rows = np.nonzero(seen)
+        self.obs_flat = (np.array(self.observed, dtype=int)[self.obs_comp] * m_sz
+                         + grid.obs_index[rows])
+        self.obs_vals = cols[seen]
+        self.obs_counts = seen.sum(axis=1).astype(float)
 
         # The prior box over the packed theta || log sigma tail.
         n_sigma = len(self.observed)
@@ -436,10 +433,12 @@ def init_missing_components(
         xdot = d1 @ x0
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                # The residual is affine in theta, so its Jacobian is one constant.
+                jac = -model.jac_param(x0, times).reshape(-1, p)
                 theta = least_squares(
                     lambda th: (xdot - model.rhs(x0, th, times)).ravel(),
                     np.clip(np.ones(p), lo, hi),
-                    jac=lambda th: -model.jac_param(x0, th, times).reshape(-1, p),
+                    jac=lambda th: jac,
                     bounds=(lo, hi),
                 ).x
         except ValueError:  # e.g. residuals not finite at the start
@@ -655,8 +654,9 @@ def prepare_fits(
     components from the gradient-matched interpolant on the grid.  An
     oscillatory model's fits take the Fourier lengthscale prior."""
     fits: dict[int, GpFit] = {}
+    observed = observations.observed_components()
     for c in range(model.state_dim):
-        if observations.mask[c]:
+        if c in observed:
             obs_t, obs_y = observations.component_values(c)
             fits[c] = gp_smooth_fit(obs_t, obs_y, use_fourier_prior=model.oscillatory)
         else:

@@ -14,16 +14,15 @@ __all__ = ["ObservationSet"]
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Observations at N times for a D-component system.
+    """Observations at N times for a D-component system: ``values`` is N x D.
 
-    ``mask[c]`` is True when component c is observed at all; masked-out
-    columns carry NaN everywhere.  Observed columns may still contain NaN
-    at individual times (pointwise missingness).
+    A component is observed when its column holds any value; an unobserved
+    column is NaN everywhere.  Observed columns may still hold NaN at
+    individual times (pointwise missingness).
     """
 
     times: np.ndarray
     values: np.ndarray
-    mask: tuple[bool, ...]
     noise_spec: dict[str, Any] = field(default_factory=dict)
     seed: int | None = None
 
@@ -34,24 +33,21 @@ class ObservationSet:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or np.any(np.diff(times) <= 0):
             raise ValueError("observation times must be strictly increasing")
-        if values.shape != (times.size, len(self.mask)):
-            raise ValueError("values must be N x D with D = len(mask)")
-        for c, observed in enumerate(self.mask):
-            if not observed and not np.all(np.isnan(values[:, c])):
-                raise ValueError(f"masked-out component {c} must carry no values")
+        if values.ndim != 2 or values.shape[0] != times.size:
+            raise ValueError("values must be N x D with N = len(times)")
 
     @property
     def n_components(self) -> int:
-        return len(self.mask)
+        return self.values.shape[1]
 
     def observed_components(self) -> list[int]:
-        return [c for c, flag in enumerate(self.mask) if flag]
+        return np.flatnonzero(~np.isnan(self.values).all(axis=0)).tolist()
 
     def component_values(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) for one observed component, NaN entries dropped."""
-        if not self.mask[c]:
-            raise ValueError(f"component {c} is not observed")
         keep = ~np.isnan(self.values[:, c])
+        if not keep.any():
+            raise ValueError(f"component {c} is not observed")
         return self.times[keep], self.values[keep, c]
 
     def to_csv(self, path, component_names, sidecar: dict | None = None) -> None:
@@ -70,6 +66,6 @@ class ObservationSet:
             meta = dict(sidecar)
             meta.setdefault("noise_spec", self.noise_spec)
             meta.setdefault("seed", self.seed)
-            meta["mask"] = list(self.mask)
+            meta["mask"] = [c in observed for c in range(self.n_components)]
             with open(str(path) + ".json", "w") as fh:
                 json.dump(meta, fh, indent=2, sort_keys=True)

@@ -58,7 +58,7 @@ def _check_dynamics_jacobians() -> tuple[bool, str]:
             else:
                 x = rng.uniform(-10.0, 10.0, size=3)
                 theta = np.array([rng.uniform(1, 4), rng.uniform(10, 30), rng.uniform(5, 15)])
-            jt = model.jac_param(x, theta, 0.0)
+            jt = model.jac_param(x, 0.0)
             for c, e_c in enumerate(np.eye(3)):
                 # The unit cotangent e_c picks row c of both Jacobians.
                 x_bar, theta_bar = model.vjp(x, theta, 0.0, e_c)
@@ -141,7 +141,7 @@ def _small_seir_problem():
                                      np.array([2.0, 0.2, 0.6]), times)
     rng = np.random.default_rng(3)
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)
-    obs = ObservationSet(times=times[::4], values=values, mask=(True, True, True))
+    obs = ObservationSet(times=times[::4], values=values)
     grid = magi.DiscretizationGrid.build(times, obs.times)
     fits = {c: gp.gp_smooth_fit(obs.times, values[:, c]) for c in range(3)}
     return magi.make_problem(model, grid, obs, fits), truth
@@ -164,8 +164,7 @@ def _check_pinn_gradient() -> tuple[bool, str]:
     model = dynamics.get_model("lorenz")
     times = np.linspace(0.0, 1.0, 9)
     rng = np.random.default_rng(2)
-    obs = ObservationSet(times=times[::2], values=rng.standard_normal((5, 3)),
-                         mask=(True, True, True))
+    obs = ObservationSet(times=times[::2], values=rng.standard_normal((5, 3)))
     grid = magi.DiscretizationGrid.build(times, obs.times)
     net = pinn.init_mlp([1, 4, 4, 3], 0.0, 1.0, seed=4)  # two hidden layers: a hidden-to-hidden layer
     theta = np.array([2.0, 20.0, 8.0])

@@ -52,7 +52,7 @@ def seir_small():
                                      np.array([2.0, 0.2, 0.6]), times)
     rng = np.random.default_rng(3)
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)
-    obs = ObservationSet(times=times[::4], values=values, mask=(True, True, True))
+    obs = ObservationSet(times=times[::4], values=values)
     grid = magi.DiscretizationGrid.build(times, obs.times)
     fits = {c: gp.gp_smooth_fit(obs.times, values[:, c]) for c in range(3)}
     problem = magi.make_problem(model, grid, obs, fits)
@@ -71,7 +71,7 @@ def lorenz_small():
                                      np.array([8.0 / 3.0, 28.0, 10.0]), times)
     rng = np.random.default_rng(5)
     values = truth.values[::4] + 0.3 * rng.standard_normal(truth.values[::4].shape)
-    obs = ObservationSet(times=times[::4], values=values, mask=(True, True, True))
+    obs = ObservationSet(times=times[::4], values=values)
     grid = magi.DiscretizationGrid.build(times, obs.times)
     fits = {c: gp.gp_smooth_fit(obs.times, values[:, c]) for c in range(3)}
     problem = magi.make_problem(model, grid, obs, fits)
@@ -90,7 +90,7 @@ def make_missing_e_problem(n_grid=21, seed=3):
     rng = np.random.default_rng(seed)
     values = truth.values[::4] + 0.1 * rng.standard_normal(truth.values[::4].shape)
     values[:, 0] = np.nan
-    obs = ObservationSet(times=times[::4], values=values, mask=(False, True, True))
+    obs = ObservationSet(times=times[::4], values=values)
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(model, grid, obs, n_iter=500)
     fits = magi.prepare_fits(model, grid, obs, init)

@@ -248,10 +248,13 @@ def test_infer_flag_beats_config(runner, tmp_path):
     assert list(manifest) == ["lorenz-chaotic|pinn|2|0"]
 
 
-def test_infer_refused_setting_exits_2_before_any_run(runner, tmp_path):
+@pytest.mark.parametrize("flag, value", [("--layers", "5"), ("--replicates", "-3"),
+                                         ("--replicates", "0"), ("--jobs", "-2"),
+                                         ("--first-replicate", "-1"), ("--init-budget", "-1")])
+def test_infer_refused_setting_exits_2_before_any_run(runner, tmp_path, flag, value):
     out = tmp_path / "run"
     result = runner.invoke(main, ["infer", "--regime", "seir-full", "--method", "pinn",
-                                  "--layers", "5", "--epochs", "5", "--out", str(out)])
+                                  flag, value, "--epochs", "5", "--out", str(out)])
     assert result.exit_code == 2
-    assert "--layers" in result.output
+    assert flag in result.output
     assert not out.exists()

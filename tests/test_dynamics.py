@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_lorenz_jac_param_matches_fd():
     model = get_model("lorenz")
     state = np.array([5.0, 5.0, 5.0])
     theta = np.array([8.0 / 3.0, 28.0, 10.0])
-    jac = model.jac_param(state, theta, 0.0)
+    jac = model.jac_param(state, 0.0)
     for c in range(3):
         fd = central_fd(lambda p: model.rhs(state, p, 0.0)[c], theta)
         assert rel_err(jac[c], fd, floor=1e-6) < 1e-6
@@ -72,7 +73,7 @@ def test_jacobians_match_fd_at_many_random_points(name):
     rng = np.random.default_rng(17)
     for _ in range(100):
         x, theta = _random_point(name, rng)
-        jt = model.jac_param(x, theta, 0.0)
+        jt = model.jac_param(x, 0.0)
         for c, e_c in enumerate(np.eye(3)):
             x_bar, theta_bar = model.vjp(x, theta, 0.0, e_c)
             fd_x = central_fd(lambda v: model.rhs(v, theta, 0.0)[c], x)
@@ -87,13 +88,12 @@ def test_jacobians_match_fd_at_many_random_points(name):
 
 @pytest.mark.parametrize("name", sorted(_REGISTRY))
 def test_every_model_is_affine_in_theta(name):
-    """f(x, theta) = f(x, 0) + jac_param(x) theta to rounding, with jac_param
-    read at another theta: it does not depend on theta."""
+    """f(x, theta) = f(x, 0) + jac_param(x) theta to rounding."""
     model = get_model(name)
     rng = np.random.default_rng(29)
     for _ in range(100):
         x, theta = _random_point(name, rng)
-        jt = model.jac_param(x, _random_point(name, rng)[1], 0.0)
+        jt = model.jac_param(x, 0.0)
         base = model.rhs(x, np.zeros(model.param_dim), 0.0)
         scale = np.abs(base) + np.abs(jt) @ np.abs(theta)
         assert np.all(np.abs(model.rhs(x, theta, 0.0) - (base + jt @ theta)) <= 1e-14 * scale)
@@ -113,7 +113,7 @@ def test_vjp_broadcasts_over_the_grid(name):
     pointwise = [model.vjp(xs[k], theta, 0.0, w[k]) for k in range(7)]
     assert rel_err(x_bar, np.array([xb for xb, _ in pointwise]), floor=1e-4) < 1e-12
     assert rel_err(theta_bar, np.sum([tb for _, tb in pointwise], axis=0), floor=1e-4) < 1e-12
-    dense = np.einsum("mc,mcp->p", w, model.jac_param(xs, theta, 0.0))
+    dense = np.einsum("mc,mcp->p", w, model.jac_param(xs, 0.0))
     assert rel_err(theta_bar, dense, floor=1e-4) < 1e-12
 
 
@@ -149,7 +149,12 @@ def test_vectorized_rhs_matches_pointwise():
     batch = model.rhs(xs, theta, 0.0)
     for i in range(7):
         assert np.allclose(batch[i], model.rhs(xs[i], theta, 0.0))
-    assert model.jac_param(xs, theta, 0.0).shape == (7, 3, 3)
+    assert model.jac_param(xs, 0.0).shape == (7, 3, 3)
+
+
+def test_model_needs_one_theta_box_row_per_parameter():
+    with pytest.raises(ValueError, match="theta_box"):
+        replace(get_model("lorenz"), theta_box=((1e-6, 100.0), (-100.0, 100.0)))
 
 
 def test_registry():

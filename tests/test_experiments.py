@@ -88,7 +88,7 @@ def test_missing_e_masks_component():
     ds = E.simulate_dataset(regime, 7)
     assert np.all(np.isnan(ds.values[:, 0]))
     assert not np.any(np.isnan(ds.values[:, 1:]))
-    assert ds.mask == (False, True, True)
+    assert ds.observed_components() == [1, 2]
 
 
 def test_zero_noise_reproduces_truth():
@@ -148,6 +148,11 @@ def test_log_states_pinned():
 def test_oscillatory_pinned():
     assert not get_model("seir-log").oscillatory
     assert get_model("lorenz").oscillatory
+
+
+def test_positive_params_pinned():
+    assert get_model("seir-log").positive_params == (True, True, True)
+    assert get_model("lorenz").positive_params == (True, False, True)
 
 
 def test_compute_rmse_identities():
@@ -337,6 +342,8 @@ def test_run_study_retries_a_failed_run(tmp_path):
     assert (good.attempted, good.failed, good.skipped) == (1, 0, 0)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "error" not in manifest["tiny-retry|pinn|10|0"]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        assert all(row["metric_name"] != "error" for row in csv.DictReader(fh))
 
 
 def test_run_single_magi_metrics(tmp_path):

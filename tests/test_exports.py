@@ -1,11 +1,13 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
 import sys
 
 import odebench
-from odebench import experiments
+from odebench import experiments, magi
+from odebench.pinn import PinnConfig
 
 from conftest import tiny_regime
 
@@ -72,3 +74,19 @@ def test_trace_hooks_see_every_layer_of_a_run(tmp_path, monkeypatch):
     for name in ("magi.fit_magi", "magi.forecast_extended_grid", "magi.run_inference",
                  "pinn.train", "pinn.forward", "experiments.metrics", "experiments.save"):
         assert name in names, name
+
+
+def test_bench_workload_options_bind_to_their_method(monkeypatch):
+    """Each benchmark workload's options fit what run_single hands them to: MAGI's
+    to fit_magi's keywords, the PINN's to PinnConfig.  A renamed or dropped
+    option fails here, not as an error row in every benchmark operation."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+    workloads = importlib.import_module("workloads")
+    fit_magi = inspect.signature(magi.fit_magi)
+    for wl in workloads.WORKLOADS.values():
+        if wl.method == "magi":
+            fit_magi.bind(None, None, None, None, seed=0, **wl.options)
+        else:
+            assert wl.method == "pinn", wl.name
+            PinnConfig(seed=0, **wl.options)

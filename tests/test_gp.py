@@ -209,8 +209,7 @@ _UNEVEN_OBS = np.array([0.03, 0.41, 0.77, 1.0, 1.52, 1.9])
 ], ids=["seir-161", "uneven", "jitter-ladder"])
 def test_kernel_mats_and_cinv_equal_the_scipy_idiom(times, obs_times, hypers, needs_jitter):
     """build_kernel_mats and MagiProblem's C^{-1} agree bit for bit with the scipy idiom."""
-    obs = ObservationSet(times=obs_times, values=np.ones((obs_times.size, 3)),
-                         mask=(True, True, True))
+    obs = ObservationSet(times=obs_times, values=np.ones((obs_times.size, 3)))
     grid = magi.DiscretizationGrid.build(times, obs_times)
     problem = magi.make_problem(get_model("seir-log"), grid, obs,
                                 {c: GpFit(hyper, 0.1) for c, hyper in enumerate(hypers)})

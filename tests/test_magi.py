@@ -113,8 +113,7 @@ def test_observation_order_is_set_semantics(seir_small):
     # reaching the posterior is canonical; identical data gives identical values.
     problem = seir_small["problem"]
     obs = seir_small["obs"]
-    rebuilt = ObservationSet(times=obs.times.copy(), values=obs.values.copy(),
-                             mask=obs.mask)
+    rebuilt = ObservationSet(times=obs.times.copy(), values=obs.values.copy())
     problem2 = magi.make_problem(seir_small["model"], seir_small["grid"], rebuilt,
                                  seir_small["fits"])
     state = _state_for(problem, seed=5)
@@ -122,7 +121,20 @@ def test_observation_order_is_set_semantics(seir_small):
     v2 = _log_post(problem2, *state)
     assert v1 == v2
     with pytest.raises(ValueError):
-        ObservationSet(times=obs.times[::-1].copy(), values=obs.values.copy(), mask=obs.mask)
+        ObservationSet(times=obs.times[::-1].copy(), values=obs.values.copy())
+
+
+def test_observed_components_follow_the_values():
+    """An all-NaN column is unobserved; a column with some NaN entries stays observed."""
+    values = np.arange(12.0).reshape(4, 3)
+    values[:, 0] = np.nan
+    values[1, 2] = np.nan
+    obs = ObservationSet(times=np.arange(4.0), values=values)
+    assert obs.n_components == 3
+    assert obs.observed_components() == [1, 2]
+    assert obs.component_values(2)[1].tolist() == [2.0, 8.0, 11.0]
+    with pytest.raises(ValueError, match="not observed"):
+        obs.component_values(0)
 
 
 def _reachable(obj):
@@ -197,7 +209,7 @@ def test_mech_term_ignores_missingness_mask(seir_small):
     fits = seir_small["fits"]
     values = obs.values.copy()
     values[:, 0] = np.nan
-    obs_masked = ObservationSet(times=obs.times, values=values, mask=(False, True, True))
+    obs_masked = ObservationSet(times=obs.times, values=values)
     problem_full = seir_small["problem"]
     problem_masked = magi.make_problem(model, grid, obs_masked, fits)
 
@@ -301,7 +313,7 @@ def test_init_gradient_matching_on_clean_lorenz():
     theta_true = np.array([8.0 / 3.0, 28.0, 10.0])
     times = magi.uniform_grid(0.0, 2.0, 161)
     truth = integrate.integrate_rk45(model.rhs, np.array([5.0, 5.0, 5.0]), theta_true, times)
-    obs = ObservationSet(times=times, values=truth.values, mask=(True, True, True))
+    obs = ObservationSet(times=times, values=truth.values)
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(model, grid, obs, n_iter=4000)
     for j in range(3):
@@ -338,7 +350,7 @@ def _matching_objective(model, x, times):
 
     def objective(theta):
         resid = xdot - model.rhs(x, theta, times)
-        grad = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, theta, times))
+        grad = -2.0 * np.einsum("mc,mcp->p", resid, model.jac_param(x, times))
         return float((resid * resid).sum()), grad
 
     return objective
@@ -376,20 +388,17 @@ def test_init_fully_observed_solves_theta(fixture, request):
 def test_init_fully_observed_nan_rhs_falls_back():
     nan_model = OdeModel(
         name="nan-1d",
-        state_dim=1,
-        param_dim=1,
         component_names=("x",),
         param_names=("theta",),
         rhs=lambda x, th, t: np.full(np.shape(x), np.nan),
         vjp=lambda x, th, t, w: (np.full(np.shape(x), np.nan), np.full(1, np.nan)),
-        jac_param=lambda x, th, t: np.full(np.shape(x) + (1,), np.nan),
-        positive_params=(True,),
+        jac_param=lambda x, t: np.full(np.shape(x) + (1,), np.nan),
         theta_box=((1e-6, 100.0),),
         log_states=False,
         oscillatory=False,
     )
     times = magi.uniform_grid(0.0, 1.0, 11)
-    obs = ObservationSet(times=times, values=np.exp(-times)[:, None], mask=(True,))
+    obs = ObservationSet(times=times, values=np.exp(-times)[:, None])
     grid = magi.DiscretizationGrid.build(times, obs.times)
     with pytest.warns(UserWarning, match="constant fallback"):
         init = magi.init_missing_components(nan_model, grid, obs)
@@ -427,14 +436,11 @@ def test_linear_ode_posterior_recovery():
     """Easy conjugate-like case: dense low-noise data on x' = -theta x."""
     decay = OdeModel(
         name="decay-1d",
-        state_dim=1,
-        param_dim=1,
         component_names=("x",),
         param_names=("theta",),
         rhs=lambda x, th, t: -th[0] * x,
         vjp=lambda x, th, t, w: (-th[0] * w, np.array([-np.sum(w * x)])),
-        jac_param=lambda x, th, t: -np.asarray(x)[..., None],
-        positive_params=(True,),
+        jac_param=lambda x, t: -np.asarray(x)[..., None],
         theta_box=((1e-6, 100.0),),
         log_states=False,
         oscillatory=False,
@@ -444,7 +450,7 @@ def test_linear_ode_posterior_recovery():
     truth = np.exp(-theta_true * times)[:, None] * 2.0
     rng = np.random.default_rng(0)
     values = truth[::2] + 0.01 * rng.standard_normal(truth[::2].shape)
-    obs = ObservationSet(times=times[::2], values=values, mask=(True,))
+    obs = ObservationSet(times=times[::2], values=values)
     grid = magi.DiscretizationGrid.build(times, obs.times)
     init = magi.init_missing_components(decay, grid, obs, n_iter=800)
     fits = magi.prepare_fits(decay, grid, obs, init)
@@ -501,8 +507,7 @@ def test_prior_driven_run_stays_finite():
     """No observations at all: the GP prior plus mechanism keeps draws finite."""
     model = get_model("lorenz")
     times = magi.uniform_grid(0.0, 1.0, 17)
-    obs = ObservationSet(times=np.empty(0), values=np.empty((0, 3)),
-                         mask=(True, True, True))
+    obs = ObservationSet(times=np.empty(0), values=np.empty((0, 3)))
     hyper = gp.MaternHyper(amplitude=5.0, lengthscale=0.5)
     fits = {c: gp.GpFit(hyper=hyper, noise_sd=0.5) for c in range(3)}
     grid = magi.DiscretizationGrid.build(times, obs.times)
@@ -598,7 +603,7 @@ def test_gp_fit_flag_reaches_the_run():
                                      np.array([8.0 / 3.0, 28.0, 10.0]), times)
     values = truth.values.copy()
     values[:, 2] = 3.0
-    obs = ObservationSet(times=times, values=values, mask=(True, True, True))
+    obs = ObservationSet(times=times, values=values)
     post = magi.fit_magi(model, times, times.size, obs, n_warmup=10, n_samples=10, seed=0,
                          init_budget=50)
     assert "degenerate-flat-data" in post.flags

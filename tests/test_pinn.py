@@ -62,10 +62,9 @@ def test_normalization_jacobian_factor():
 def _toy_data(model, times, seed=0, missing=()):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((times.size, model.state_dim))
-    mask = tuple(c not in missing for c in range(model.state_dim))
     for c in missing:
         values[:, c] = np.nan
-    return ObservationSet(times=times, values=values, mask=mask)
+    return ObservationSet(times=times, values=values)
 
 
 def test_physics_term_zero_at_fixed_point():
@@ -232,14 +231,11 @@ def test_loss_call_allocates_no_layer_sized_block():
 def test_train_linear_ode_recovers_theta():
     decay = OdeModel(
         name="decay-1d",
-        state_dim=1,
-        param_dim=1,
         component_names=("x",),
         param_names=("theta",),
         rhs=lambda x, th, t: -th[0] * x,
         vjp=lambda x, th, t, w: (-th[0] * w, np.array([-np.sum(w * x)])),
-        jac_param=lambda x, th, t: -np.asarray(x)[..., None],
-        positive_params=(True,),
+        jac_param=lambda x, t: -np.asarray(x)[..., None],
         theta_box=((1e-6, 100.0),),
         log_states=False,
         oscillatory=False,
@@ -247,7 +243,7 @@ def test_train_linear_ode_recovers_theta():
     theta_true = 0.8
     times = magi.uniform_grid(0.0, 3.0, 61)
     truth = 2.0 * np.exp(-theta_true * times)[:, None]
-    data = ObservationSet(times=times[::2], values=truth[::2], mask=(True,))
+    data = ObservationSet(times=times[::2], values=truth[::2])
     grid = magi.DiscretizationGrid.build(times, data.times)
     cfg = pinn.PinnConfig(lam=10.0, epochs=12000, seed=1)
     out = pinn.train_pinn(cfg, decay, data, grid)
@@ -324,14 +320,11 @@ def _nan_model(rhs_calls=None):
 
     return OdeModel(
         name="nan-model",
-        state_dim=1,
-        param_dim=1,
         component_names=("x",),
         param_names=("a",),
         rhs=rhs,
         vjp=lambda x, th, t, w: (np.zeros(np.shape(x)), np.zeros(1)),
-        jac_param=lambda x, th, t: np.zeros(np.shape(x)[:-1] + (1, 1)),
-        positive_params=(True,),
+        jac_param=lambda x, t: np.zeros(np.shape(x)[:-1] + (1, 1)),
         theta_box=((1e-6, 100.0),),
         log_states=False,
         oscillatory=False,
@@ -340,7 +333,7 @@ def _nan_model(rhs_calls=None):
 
 def _nan_model_problem():
     times = np.linspace(0.0, 1.0, 9)
-    data = ObservationSet(times=times[::2], values=np.ones((5, 1)), mask=(True,))
+    data = ObservationSet(times=times[::2], values=np.ones((5, 1)))
     grid = magi.DiscretizationGrid.build(times, data.times)
     cfg = pinn.PinnConfig(lam=1.0, epochs=120, seed=0)
     return data, grid, cfg
